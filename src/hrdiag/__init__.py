@@ -66,6 +66,7 @@ from .training import (
     StoppingReason,
     TrainParams,
     TrainingTrace,
+    Trajectory,
     accuracy_from_mse,
     evaluate,
     train,

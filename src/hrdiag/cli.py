@@ -27,6 +27,7 @@ from .data import (
     load_embedded,
     load_questionnaire_csv,
     normalize,
+    prepared_embedded,
     split_70_30,
 )
 from .model_io import (
@@ -98,20 +99,16 @@ def _load_training_data(args) -> tuple[Dataset, bool]:
     """Training-ready dataset (normalized, targeted) plus a surrogate flag."""
     _require_one_source(args)
     if args.embedded:
-        raw = load_embedded()
-        training = assign_surrogate_targets(raw.training, args.threshold)
-        testing = assign_surrogate_targets(raw.testing, args.threshold)
-        used_surrogate = True
+        return prepared_embedded(args.threshold), True
+    has_targets = _csv_has_targets(args.data)
+    patterns = load_csv(args.data, has_targets)
+    used_surrogate = not has_targets
+    if used_surrogate:
+        patterns = assign_surrogate_targets(patterns, args.threshold)
+    if getattr(args, "split", False):
+        training, testing = split_70_30(patterns, args.seed)
     else:
-        has_targets = _csv_has_targets(args.data)
-        patterns = load_csv(args.data, has_targets)
-        used_surrogate = not has_targets
-        if used_surrogate:
-            patterns = assign_surrogate_targets(patterns, args.threshold)
-        if getattr(args, "split", False):
-            training, testing = split_70_30(patterns, args.seed)
-        else:
-            training, testing = patterns, []
+        training, testing = patterns, []
     training_n, nmap = normalize(training)
     testing_n, _ = normalize(testing)
     return Dataset(training_n, testing_n, nmap), used_surrogate
@@ -180,7 +177,7 @@ def cmd_eval(args) -> int:
 
     mse = evaluate(net, batch)
     X = np.asarray([x for x, _ in batch])
-    outputs = _forward_arrays(net, X)[-1][:, 0]
+    outputs = _forward_arrays(net.config.layers, net.weights, net.biases, X)[-1][:, 0]
     labels = np.asarray([t[0] >= 0 for _, t in batch])
     preds = outputs >= 0
     true_success = int(np.sum(preds & labels))

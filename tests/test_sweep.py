@@ -105,11 +105,11 @@ class TestRunSweep:
         calls = {"n": 0}
         real_train = sweep_mod.train
 
-        def flaky_train(net, batch, params):
+        def flaky_train(net, batch, params, on_epoch=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise ValueError("synthetic failure")
-            return real_train(net, batch, params)
+            return real_train(net, batch, params, on_epoch=on_epoch)
 
         monkeypatch.setattr(sweep_mod, "train", flaky_train)
         rows = run_sweep(tiny_config(seeds=(1, 2)), dataset, TrainParams())
@@ -118,6 +118,61 @@ class TestRunSweep:
         assert row.errors[0] == "synthetic failure"
         assert row.train_mse[1] is not None
         assert not row.failed
+
+    def test_failure_mid_trajectory_fails_only_unreached_budgets(self, dataset, monkeypatch):
+        real_train = sweep_mod.train
+
+        def train_failing_after_35(net, batch, params, on_epoch=None):
+            def hook(record, trajectory):
+                on_epoch(record, trajectory)
+                if record.epoch == 35 and net.config.seed == 1:
+                    raise ValueError("synthetic failure")
+            return real_train(net, batch, params, on_epoch=hook)
+
+        monkeypatch.setattr(sweep_mod, "train", train_failing_after_35)
+        grid = tuple(GridRow((LayerSpec(2, LOGSIG),), epochs, 0.01, 0.01) for epochs in (35, 40))
+        short, long = run_sweep(SweepConfig(grid, (1, 2)), dataset, TrainParams())
+        monkeypatch.undo()
+        assert short == run_sweep(SweepConfig(grid[:1], (1, 2)), dataset, TrainParams())[0]
+        assert long.train_mse[0] is None and long.errors[0] == "synthetic failure"
+        assert long.train_mse[1] is not None and not long.failed
+
+    def test_shared_trajectories_match_separate_runs(self, dataset):
+        two_logsig = (LayerSpec(2, LOGSIG),)
+        # The 2/logsig family reaches its goal near epoch 78 for these
+        # seeds: before its largest budget, and on or after the others.
+        grid = (
+            GridRow(two_logsig, 200, 0.1, 0.01),
+            GridRow(two_logsig, 0, 0.1, 0.01),
+            GridRow((), 40, 0.05, 0.02),
+            GridRow(two_logsig, 78, 0.1, 0.01),
+            GridRow((), 10, 0.05, 0.02),
+            GridRow(two_logsig, 30, 0.1, 0.01),
+            GridRow(two_logsig, 78, 0.1, 0.01),
+        )
+        seeds = (1, 2, 3)
+        rows = run_sweep(SweepConfig(grid, seeds), dataset, TrainParams())
+
+        train_batch = as_training_batch(dataset.training)
+        test_batch = as_training_batch(dataset.testing)
+        for cell, row in zip(grid, rows):
+            params = TrainParams(learning_rate=cell.learning_rate, error_goal=cell.error_goal,
+                                 max_epochs=cell.epochs)
+            mses, test_mses, reasons = [], [], []
+            for seed in seeds:
+                layers = cell.hidden_layers + (LayerSpec(1, TANSIG),)
+                trained, trace = train(init_network(NetworkConfig(3, layers, seed=seed)),
+                                       train_batch, params)
+                mses.append(trace.final_mse if trace.records else evaluate(trained, train_batch))
+                test_mses.append(evaluate(trained, test_batch))
+                reasons.append(trace.stopping_reason.value)
+            assert row.train_mse == tuple(mses)
+            assert row.test_mse == tuple(test_mses)
+            assert row.stopping_reasons == tuple(reasons)
+            assert row.errors == (None,) * len(seeds)
+        assert rows[0].goal_reached_count == len(seeds)
+        assert 0 < rows[3].goal_reached_count < len(seeds)
+        assert rows[5].goal_reached_count == 0
 
     def test_requires_targets(self):
         from hrdiag import load_embedded

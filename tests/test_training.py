@@ -5,10 +5,12 @@ import pytest
 
 from hrdiag import (
     Activation,
+    EpochRecord,
     LayerSpec,
     Network,
     NetworkConfig,
     TrainParams,
+    TrainingTrace,
     StoppingReason,
     accuracy_from_mse,
     evaluate,
@@ -190,6 +192,69 @@ class TestTrain:
         _, trace = train(init_network(config), XOR_BATCH, p_budget)
         assert trace.stopping_reason is StoppingReason.EPOCH_BUDGET_EXHAUSTED
         assert not any(r.accepted and r.mse <= 1e-9 for r in trace.records)
+
+
+def hand_stepped(net, batch, p):
+    """Reference loop: train() written out over train_epoch, which starts
+    every epoch from scratch and so recomputes what train() carries over."""
+    velocity = zero_gradients(net)
+    learning_rate, previous_mse = p.learning_rate, None
+    records = []
+    reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
+    for epoch in range(1, p.max_epochs + 1):
+        step = train_epoch(net, velocity, batch, p, learning_rate, previous_mse)
+        records.append(EpochRecord(epoch, step.mse, learning_rate, step.accepted))
+        net, velocity, learning_rate = step.net, step.velocity, step.learning_rate
+        previous_mse = step.mse
+        if step.accepted and step.mse <= p.error_goal:
+            reason = StoppingReason.GOAL_REACHED
+            break
+    return net, TrainingTrace(tuple(records), reason)
+
+
+class TestTrainMatchesHandSteppedEpochs:
+    CONFIG = NetworkConfig(2, (LayerSpec(2, TANSIG), LayerSpec(1, TANSIG)), seed=5)
+
+    def check(self, p, net=None, batch=XOR_BATCH):
+        net = net or init_network(self.CONFIG)
+        trained, trace = train(net, batch, p)
+        ref_net, ref_trace = hand_stepped(net, batch, p)
+        assert trace == ref_trace
+        for a, b in zip(trained.weights + trained.biases, ref_net.weights + ref_net.biases):
+            assert a.tobytes() == b.tobytes()
+        return trace
+
+    def test_adaptive(self):
+        trace = self.check(params(learning_rate=0.05, max_epochs=300))
+        assert any(r.learning_rate != 0.05 for r in trace.records)
+
+    def test_plain_descent(self):
+        self.check(params(learning_rate=0.05, max_epochs=300, adaptive=False))
+
+    def test_goal_reached(self):
+        trace = self.check(params(learning_rate=0.05, max_epochs=5000))
+        assert trace.stopping_reason is StoppingReason.GOAL_REACHED
+
+    def test_rejections_mid_run(self):
+        # A large step overshoots repeatedly; epochs after each rejection
+        # must start from the unchanged network's activations.
+        trace = self.check(params(learning_rate=3.0, max_epochs=60))
+        rejected = [i for i, r in enumerate(trace.records[:-1]) if not r.accepted]
+        assert rejected and any(trace.records[i + 1].accepted for i in rejected)
+
+    def test_divergent_first_step(self):
+        # The first update overflows to inf; later, smaller steps give
+        # finite parameters whose MSE still overflows, until one fits.
+        trace = self.check(params(learning_rate=1e308, max_epochs=1200),
+                           net=scalar_net(), batch=[([1.0], [1.0])])
+        assert trace.records[0].mse == math.inf and not trace.records[0].accepted
+        assert any(r.accepted for r in trace.records)
+
+    def test_zero_epochs(self):
+        net = init_network(self.CONFIG)
+        trained, trace = train(net, XOR_BATCH, params(max_epochs=0))
+        assert trained is net
+        assert trace == hand_stepped(net, XOR_BATCH, params(max_epochs=0))[1]
 
 
 class TestEvaluate:
