@@ -243,8 +243,9 @@ class TestTrainMatchesHandSteppedEpochs:
         assert rejected and any(trace.records[i + 1].accepted for i in rejected)
 
     def test_divergent_first_step(self):
-        # The first update overflows to inf; later, smaller steps give
-        # finite parameters whose MSE still overflows, until one fits.
+        # The first update overflows to inf.  The shrinking steps after it
+        # give finite parameters whose MSE overflows, until near epoch 1000
+        # one gives a finite MSE and is accepted.
         trace = self.check(params(learning_rate=1e308, max_epochs=1200),
                            net=scalar_net(), batch=[([1.0], [1.0])])
         assert trace.records[0].mse == math.inf and not trace.records[0].accepted
