@@ -32,8 +32,9 @@ output, activations = forward(net, [0.5, -0.2, 0.8])
 print("output:", output)
 print("hidden activations:", activations[0])
 
-# Gradients of the batch MSE for a tiny batch.
-batch = [([0.5, -0.2, 0.8], [0.9]), ([-0.3, 0.1, -0.9], [-0.9])]
+# Gradients of the batch MSE for a tiny batch: inputs X, one row per
+# pattern, and targets T, one row per pattern.
+batch = (np.array([[0.5, -0.2, 0.8], [-0.3, 0.1, -0.9]]), np.array([[0.9], [-0.9]]))
 grads, mse = backprop_gradients(net, batch)
 print(f"batch MSE: {mse:.6f}")
 

@@ -20,7 +20,6 @@ from hrdiag import (
     init_network,
     prepared_embedded,
     train,
-    validation_trace,
 )
 
 dataset = prepared_embedded(threshold=2.5)
@@ -51,7 +50,7 @@ print()
 
 # The validation procedure: keep training on the held-out batch and watch
 # the error trajectory (it should not need many epochs).
-holdout = validation_trace(trained, test_batch, replace(params, max_epochs=50))
+_, holdout = train(trained, test_batch, replace(params, max_epochs=50))
 print("validation trajectory:")
 for line in holdout.error_lines():
     print(" ", line)

@@ -22,7 +22,6 @@ from .data import (
     normalize,
     prepared_embedded,
     split_70_30,
-    write_csv,
 )
 from .model_io import (
     Diagnosis,
@@ -40,7 +39,6 @@ from .network import (
     Network,
     NetworkConfig,
     backprop_gradients,
-    compute_mse,
     forward,
     init_network,
     zero_gradients,
@@ -71,7 +69,6 @@ from .training import (
     evaluate,
     train,
     train_epoch,
-    validation_trace,
 )
 
 __version__ = "0.1.0"

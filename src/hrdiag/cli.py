@@ -9,7 +9,6 @@ bundled survey data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -17,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    CSV_COLUMNS,
-    CSV_TARGET_COLUMN,
     Dataset,
     aggregate_questionnaire,
     as_training_batch,
@@ -40,7 +37,7 @@ from .model_io import (
 from .network import LayerSpec, NetworkConfig, _forward_arrays, init_network
 from .sweep import canonical_grid, render_csv, render_table, run_sweep
 from .tables import FACTOR_GROUPS
-from .training import TrainParams, accuracy_from_mse, evaluate, train, validation_trace
+from .training import TrainParams, accuracy_from_mse, evaluate, train
 
 SURROGATE_CAVEAT = (
     "note: targets are surrogate labels (threshold rule on raw factor means), "
@@ -72,22 +69,6 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _csv_has_targets(path: str | Path) -> bool:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    cols = tuple(h.strip() for h in header)
-    if cols == CSV_COLUMNS:
-        return False
-    if cols == CSV_COLUMNS + (CSV_TARGET_COLUMN,):
-        return True
-    raise ValueError(
-        f"{path}: bad header {','.join(cols)!r}, expected "
-        f"{','.join(CSV_COLUMNS)} or {','.join(CSV_COLUMNS + (CSV_TARGET_COLUMN,))}"
-    )
-
-
 def _require_one_source(args) -> None:
     if args.embedded and args.data:
         raise ValueError("pass either --embedded or --data, not both")
@@ -100,9 +81,8 @@ def _load_training_data(args) -> tuple[Dataset, bool]:
     _require_one_source(args)
     if args.embedded:
         return prepared_embedded(args.threshold), True
-    has_targets = _csv_has_targets(args.data)
-    patterns = load_csv(args.data, has_targets)
-    used_surrogate = not has_targets
+    patterns = load_csv(args.data)
+    used_surrogate = any(p.target is None for p in patterns)
     if used_surrogate:
         patterns = assign_surrogate_targets(patterns, args.threshold)
     if getattr(args, "split", False):
@@ -137,7 +117,7 @@ def cmd_train(args) -> int:
         raise ValueError("training diverged to a non-finite MSE")
 
     _say(args, f"architecture: {config.label} (seed {args.seed})")
-    _say(args, f"training patterns: {len(batch)}")
+    _say(args, f"training patterns: {batch[0].shape[0]}")
     if args.epochs == 0:
         _say(args, "zero-epoch run: model keeps its initial random weights")
     _say(args, f"epochs run: {len(trace.records)} ({trace.stopping_reason.value})")
@@ -162,9 +142,10 @@ def _load_eval_patterns(args, model) -> tuple[list, bool]:
         selected = raw.training if args.split == "train" else raw.testing
         threshold = model.surrogate_rule.threshold if model.surrogate_rule else args.threshold
         return assign_surrogate_targets(selected, threshold), True
-    if not _csv_has_targets(args.data):
+    patterns = load_csv(args.data)
+    if any(p.target is None for p in patterns):
         raise ValueError(f"{args.data}: targets required for evaluation")
-    return load_csv(args.data, has_targets=True), False
+    return patterns, False
 
 
 def cmd_eval(args) -> int:
@@ -173,19 +154,18 @@ def cmd_eval(args) -> int:
     patterns, used_surrogate = _load_eval_patterns(args, model)
     if model.normalization is not None:
         patterns = [model.normalization.apply_pattern(p) for p in patterns]
-    batch = as_training_batch(patterns)
+    X, T = batch = as_training_batch(patterns)
 
     mse = evaluate(net, batch)
-    X = np.asarray([x for x, _ in batch])
     outputs = _forward_arrays(net.config.layers, net.weights, net.biases, X)[-1][:, 0]
-    labels = np.asarray([t[0] >= 0 for _, t in batch])
+    labels = T[:, 0] >= 0
     preds = outputs >= 0
     true_success = int(np.sum(preds & labels))
     true_failure = int(np.sum(~preds & ~labels))
     false_success = int(np.sum(preds & ~labels))
     false_failure = int(np.sum(~preds & labels))
 
-    _say(args, f"evaluation patterns: {len(batch)} ({args.split if args.embedded else args.data})")
+    _say(args, f"evaluation patterns: {X.shape[0]} ({args.split if args.embedded else args.data})")
     _say(args, f"test MSE: {mse:.6f}")
     _say(args, f"accuracy (100 - MSE): {accuracy_from_mse(mse):.6f}")
     _say(args, f"confusion vs {'surrogate' if used_surrogate else 'provided'} labels: "
@@ -195,7 +175,7 @@ def cmd_eval(args) -> int:
         _say(args, SURROGATE_CAVEAT)
 
     if args.paper_validation:
-        trace = validation_trace(net, batch, model.train_params)
+        _, trace = train(net, batch, model.train_params)
         _say(args, "validation trajectory (training continued on this data):")
         for line in trace.error_lines():
             _say(args, line)

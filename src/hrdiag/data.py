@@ -52,17 +52,18 @@ class Pattern:
 
     def __post_init__(self):
         for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} value must be finite, got {v!r}")
-            if not RAW_MIN <= v <= RAW_MAX:
-                raise ValueError(f"{name} value {v} outside [{RAW_MIN:g}, {RAW_MAX:g}]")
-        if self.target is not None and not TARGET_MIN <= self.target <= TARGET_MAX:
-            raise ValueError(f"target {self.target} outside [{TARGET_MIN:g}, {TARGET_MAX:g}]")
+            _check_range(name, getattr(self, name), RAW_MIN, RAW_MAX)
+        if self.target is not None:
+            _check_range(CSV_TARGET_COLUMN, self.target, TARGET_MIN, TARGET_MAX)
 
     @property
     def inputs(self) -> tuple[float, float, float]:
         return (self.strategic, self.tactical, self.operational)
+
+
+def _check_range(column: str, v: float, lo: float, hi: float) -> None:
+    if not lo <= v <= hi:  # NaN fails every comparison, so it is rejected too
+        raise ValueError(f"column '{column}': value {v} outside [{lo:g}, {hi:g}]")
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,15 @@ class NormalizationMap:
     offset: float = 2.0
     scale: float = 3.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.offset) and math.isfinite(self.scale) and self.scale != 0):
+            raise ValueError(
+                f"normalization needs a finite offset and a finite non-zero scale, "
+                f"got offset {self.offset!r} and scale {self.scale!r}"
+            )
+
     def apply(self, v: float) -> float:
         return (v - self.offset) / self.scale
-
-    def invert(self, v: float) -> float:
-        return v * self.scale + self.offset
 
     def apply_pattern(self, p: Pattern) -> Pattern:
         return Pattern(
@@ -145,54 +150,35 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
         raise ValueError(f"row {row_num}, column '{column}': malformed number {raw!r}") from None
 
 
-def load_csv(path: str | Path, has_targets: bool) -> list[Pattern]:
+def load_csv(path: str | Path) -> list[Pattern]:
     """Load patterns from a CSV file.
 
-    The header must be ``strategic,tactical,operational`` with an extra
-    ``target`` column when ``has_targets``.  Inputs must lie in [-1, 5]
-    (values below 1 trigger a single summary warning), targets in [-1, 1].
-    Errors name the offending row (1-based, counting data rows) and column.
+    The header must be ``strategic,tactical,operational``, optionally
+    followed by a ``target`` column.  Values are checked by
+    :class:`Pattern`: inputs in [-1, 5] (values below 1 trigger a single
+    summary warning), targets in [-1, 1].  Errors name the offending row
+    (1-based, counting data rows) and column.
     """
     path = Path(path)
-    expected = CSV_COLUMNS + ((CSV_TARGET_COLUMN,) if has_targets else ())
+    targeted = CSV_COLUMNS + (CSV_TARGET_COLUMN,)
     patterns: list[Pattern] = []
-    sub_one = 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected header {','.join(expected)}")
-        if tuple(h.strip() for h in header) != expected:
+        header = tuple(h.strip() for h in next(reader, ()))
+        if header not in (CSV_COLUMNS, targeted):
             raise ValueError(
-                f"{path}: bad header {','.join(header)!r}, expected {','.join(expected)}"
+                f"{path}: bad header {','.join(header)!r}, expected "
+                f"{','.join(CSV_COLUMNS)} or {','.join(targeted)}"
             )
         for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(expected):
-                raise ValueError(f"row {row_num}: expected {len(expected)} columns, found {len(row)}")
-            values = {}
-            for column, raw in zip(expected, row):
-                v = _parse_cell(raw, row_num, column)
-                if column == CSV_TARGET_COLUMN:
-                    if not TARGET_MIN <= v <= TARGET_MAX:
-                        raise ValueError(
-                            f"row {row_num}, column '{column}': value {v} outside "
-                            f"[{TARGET_MIN:g}, {TARGET_MAX:g}]"
-                        )
-                else:
-                    if not math.isfinite(v) or not RAW_MIN <= v <= RAW_MAX:
-                        raise ValueError(
-                            f"row {row_num}, column '{column}': value {v} outside "
-                            f"[{RAW_MIN:g}, {RAW_MAX:g}]"
-                        )
-                    if v < 1.0:
-                        sub_one += 1
-                values[column] = v
-            patterns.append(
-                Pattern(
-                    values["strategic"], values["tactical"], values["operational"],
-                    values.get(CSV_TARGET_COLUMN),
-                )
-            )
+            if len(row) != len(header):
+                raise ValueError(f"row {row_num}: expected {len(header)} columns, found {len(row)}")
+            values = [_parse_cell(raw, row_num, column) for column, raw in zip(header, row)]
+            try:
+                patterns.append(Pattern(*values))
+            except ValueError as exc:
+                raise ValueError(f"row {row_num}, {exc}") from None
+    sub_one = sum(v < 1.0 for p in patterns for v in p.inputs)
     if sub_one:
         warnings.warn(
             f"{path}: {sub_one} input value(s) below the 1..5 questionnaire scale "
@@ -200,27 +186,6 @@ def load_csv(path: str | Path, has_targets: bool) -> list[Pattern]:
             stacklevel=2,
         )
     return patterns
-
-
-def write_csv(patterns: list[Pattern], path: str | Path, include_targets: bool | None = None) -> None:
-    """Write patterns with round-trip-exact number formatting.
-
-    ``include_targets=None`` writes the target column exactly when every
-    pattern has one.
-    """
-    if include_targets is None:
-        include_targets = all(p.target is not None for p in patterns)
-    if include_targets and any(p.target is None for p in patterns):
-        raise ValueError("include_targets requested but some patterns lack targets")
-    header = CSV_COLUMNS + ((CSV_TARGET_COLUMN,) if include_targets else ())
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in patterns:
-            row = [repr(v) for v in p.inputs]
-            if include_targets:
-                row.append(repr(p.target))
-            writer.writerow(row)
 
 
 def normalize(patterns: list[Pattern]) -> tuple[list[Pattern], NormalizationMap]:
@@ -264,14 +229,15 @@ def split_70_30(patterns: list[Pattern], seed: int) -> tuple[list[Pattern], list
     return train, test
 
 
-def as_training_batch(patterns: list[Pattern]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Patterns as (input, target) array pairs; every pattern needs a target."""
-    batch = []
+def as_training_batch(patterns: list[Pattern]) -> tuple[np.ndarray, np.ndarray]:
+    """Patterns as an (X, T) batch: inputs of shape (n, 3) and targets of
+    shape (n, 1).  Every pattern needs a target."""
     for i, p in enumerate(patterns):
         if p.target is None:
             raise ValueError(f"pattern {i} has no target")
-        batch.append((np.array(p.inputs, dtype=float), np.array([p.target], dtype=float)))
-    return batch
+    X = np.array([p.inputs for p in patterns], dtype=float).reshape(-1, len(CSV_COLUMNS))
+    T = np.array([p.target for p in patterns], dtype=float).reshape(-1, 1)
+    return X, T
 
 
 def prepared_embedded(threshold: float = 2.5) -> Dataset:

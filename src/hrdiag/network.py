@@ -184,38 +184,17 @@ def _mse(outputs: np.ndarray, targets: np.ndarray) -> float:
     return float(squares.sum() / squares.size)
 
 
-def compute_mse(outputs, targets) -> float:
-    """Mean squared error over all patterns and all output components."""
-    if len(outputs) != len(targets):
-        raise ValueError(f"{len(outputs)} outputs vs {len(targets)} targets")
-    if len(outputs) == 0:
-        raise ValueError("empty batch")
-    O = np.asarray([np.atleast_1d(np.asarray(o, dtype=float)) for o in outputs])
-    T = np.asarray([np.atleast_1d(np.asarray(t, dtype=float)) for t in targets])
-    if O.shape != T.shape:
-        raise ValueError(f"output shape {O.shape} does not match target shape {T.shape}")
-    return _mse(O, T)
-
-
 def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a batch to (X, T) arrays of shape (n, in_dim) and (n, out_dim).
-
-    Accepts either a pre-stacked (X, T) tuple or an iterable of
-    (input, target) pairs; targets may be scalars for single-output nets.
-    """
-    if (
+    """Check that a batch is an (X, T) pair of arrays of shape (n, in_dim)
+    and (n, out_dim), non-empty and finite, and return it unchanged."""
+    if not (
         isinstance(batch, tuple)
         and len(batch) == 2
         and isinstance(batch[0], np.ndarray)
         and isinstance(batch[1], np.ndarray)
     ):
-        X, T = batch
-    else:
-        pairs = list(batch)
-        if not pairs:
-            raise ValueError("empty batch")
-        X = np.asarray([np.asarray(x, dtype=float).ravel() for x, _ in pairs])
-        T = np.asarray([np.atleast_1d(np.asarray(t, dtype=float)).ravel() for _, t in pairs])
+        raise ValueError("batch must be an (X, T) pair of arrays")
+    X, T = batch
     if X.ndim != 2 or T.ndim != 2 or X.shape[0] != T.shape[0]:
         raise ValueError(f"inconsistent batch shapes {X.shape} and {T.shape}")
     if X.shape[0] == 0:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .activations import Activation
 from .data import Dataset, as_training_batch
-from .network import LayerSpec, NetworkConfig, as_batch_arrays, init_network
+from .network import LayerSpec, NetworkConfig, init_network
 from .training import StoppingReason, TrainParams, accuracy_from_mse, evaluate, train
 
 
@@ -144,10 +144,9 @@ def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict
     raises, every budget not settled by then fails with its message.
     """
     settled: dict[int, _Outcome] = {}
-    test_arrays = None
 
     def settle(budget, net, mse, reason):
-        test_mse = evaluate(net, test_arrays) if test_arrays is not None else None
+        test_mse = evaluate(net, test_batch) if test_batch is not None else None
         settled[budget] = _Outcome(mse, test_mse, reason.value, None)
 
     def at_epoch(record, trajectory):
@@ -158,8 +157,6 @@ def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict
 
     try:
         net = init_network(NetworkConfig(3, layers, seed=seed))
-        if test_batch:
-            test_arrays = as_batch_arrays(test_batch, net)
         if 0 in budgets:
             settle(0, net, evaluate(net, train_batch), StoppingReason.EPOCH_BUDGET_EXHAUSTED)
         trained, trace = train(net, train_batch, params, on_epoch=at_epoch)

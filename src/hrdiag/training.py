@@ -1,7 +1,7 @@
 """Full-batch gradient-descent training with momentum and adaptive learning rate.
 
 One epoch applies a single candidate update computed from the gradient over
-the whole batch:
+the whole batch, an (X, T) pair of arrays (see ``as_batch_arrays``):
 
     delta = momentum * velocity - learning_rate * gradient
 
@@ -75,6 +75,9 @@ class TrainParams:
             raise ValueError("momentum must lie in [0, 1)")
         if self.error_goal <= 0:
             raise ValueError("error_goal must be > 0")
+        # bool is a subclass of int, so it must be excluded by name.
+        if isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, int):
+            raise ValueError(f"max_epochs must be an integer, got {self.max_epochs!r}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if not self.lr_decrease < 1 < self.lr_increase:
@@ -83,6 +86,8 @@ class TrainParams:
             raise ValueError("lr_decrease must be > 0")
         if self.max_error_ratio <= 1:
             raise ValueError("max_error_ratio must be > 1")
+        if not isinstance(self.adaptive, bool):
+            raise ValueError(f"adaptive must be true or false, got {self.adaptive!r}")
 
 
 class StoppingReason(Enum):
@@ -163,7 +168,7 @@ class Trajectory:
     network as of the last epoch run, so a caller can keep the state at
     any epoch without rerunning the prefix.
 
-    The batch is validated and stacked once.  Parameters, velocity and
+    The batch is validated once.  Parameters, velocity and
     gradient live in flat vectors with per-layer views, so the update is
     a few whole-vector operations on preallocated buffers.  Each epoch
     runs one forward pass, the candidate's re-scoring; its activations
@@ -313,16 +318,6 @@ def train(net: Network, batch, params: TrainParams,
     return run.network(), TrainingTrace(tuple(records), run.stopping_reason)
 
 
-def validation_trace(trained: Network, holdout_batch, params: TrainParams) -> TrainingTrace:
-    """Continue the training loop on a held-out batch from trained weights.
-
-    Records the holdout error trajectory so callers can compare its minimum
-    against the training error minimum.  Same update rule as training.
-    """
-    _, trace = train(trained, holdout_batch, params)
-    return trace
-
-
 def accuracy_from_mse(mse: float) -> float:
     """Accuracy percentage defined as 100 - MSE, floored at zero.
 
@@ -344,6 +339,5 @@ __all__ = [
     "evaluate",
     "train_epoch",
     "train",
-    "validation_trace",
     "accuracy_from_mse",
 ]

@@ -30,7 +30,6 @@ from hrdiag import (
     save_model,
     train,
     train_epoch,
-    validation_trace,
     zero_gradients,
 )
 from hrdiag import ALL_FACTORS, QuestionnaireResponse
@@ -83,8 +82,8 @@ def test_criterion_1_gradient_oracle():
 
 
 def test_criterion_2_xor_convergence():
-    batch = [([-1.0, -1.0], [-0.9]), ([-1.0, 1.0], [0.9]),
-             ([1.0, -1.0], [0.9]), ([1.0, 1.0], [-0.9])]
+    batch = (np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
+             np.array([[-0.9], [0.9], [0.9], [-0.9]]))
     params = TrainParams(learning_rate=0.05, error_goal=0.01, max_epochs=5000)
     start = time.perf_counter()
     converged = 0
@@ -138,7 +137,7 @@ def test_criterion_5_validation_trajectory_shape():
     for seed in range(10):
         config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=seed)
         trained, _ = train(init_network(config), train_batch, params)
-        trace = validation_trace(trained, test_batch, replace(params, max_epochs=50))
+        _, trace = train(trained, test_batch, replace(params, max_epochs=50))
         accepted = trace.accepted_mses()
         non_increasing = all(b <= a for a, b in zip(accepted, accepted[1:]))
         final = trace.final_mse
@@ -153,7 +152,7 @@ def test_criterion_6_adaptive_lr_rule():
     # Single purelin neuron, x = 1, t = 1: candidate mse = (4 lr - 1)^2.
     config = NetworkConfig(1, (LayerSpec(1, PURELIN),), seed=0)
     net = Network(config, [np.array([[0.0]])], [np.array([0.0])])
-    batch = [([1.0], [1.0])]
+    batch = (np.array([[1.0]]), np.array([[1.0]]))
     params = TrainParams()
 
     lr_bad = 2.0  # candidate mse 49: forced increase far beyond 4%

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hrdiag import (
     save_model,
     train,
 )
+from hrdiag.cli import main
 
 LAYERS = (LayerSpec(4, Activation.LOGSIG), LayerSpec(1, Activation.TANSIG))
 
@@ -112,6 +115,29 @@ class TestLoadValidation:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="malformed"):
             load_model(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train_params", "adaptive", "no"),
+        ("train_params", "max_epochs", 2.5),
+        ("train_params", "max_epochs", True),
+        ("normalization", "scale", 0.0),
+        ("normalization", "scale", math.inf),  # json writes Infinity
+        ("normalization", "offset", math.nan),
+    ])
+    def test_bad_field_fails_with_one_line(self, trained_model, tmp_path, capsys,
+                                           section, key, value):
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        raw = json.loads(path.read_text())
+        raw[section][key] = value
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["predict", str(path), "3,3,3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err, err
+        assert [str(w.message) for w in caught] == []
 
 
 class TestDiagnose:

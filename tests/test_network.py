@@ -7,7 +7,7 @@ from hrdiag import (
     Network,
     NetworkConfig,
     backprop_gradients,
-    compute_mse,
+    evaluate,
     forward,
     init_network,
 )
@@ -111,34 +111,48 @@ class TestForward:
         np.testing.assert_array_equal(out1, out2)
 
 
+def identity_net(width):
+    """A purelin net whose outputs are exactly its inputs."""
+    config = NetworkConfig(width, (LayerSpec(width, PURELIN),), seed=0)
+    return Network(config, [np.eye(width)], [np.zeros(width)])
+
+
 class TestComputeMse:
+    """The batch MSE that evaluate reports.  On an identity net the outputs
+    are the batch inputs X, so each case reads as outputs against T."""
+
     def test_zero_residual(self):
-        assert compute_mse([[0.2], [0.4]], [[0.2], [0.4]]) == 0.0
+        batch = (np.array([[0.2], [0.4]]), np.array([[0.2], [0.4]]))
+        assert evaluate(identity_net(1), batch) == 0.0
 
     def test_mean_over_patterns(self):
-        assert compute_mse([[0.0], [0.0]], [[1.0], [-1.0]]) == 1.0
+        batch = (np.array([[0.0], [0.0]]), np.array([[1.0], [-1.0]]))
+        assert evaluate(identity_net(1), batch) == 1.0
 
     def test_single_pattern(self):
-        assert compute_mse([[0.5]], [[0.9]]) == pytest.approx(0.16, abs=1e-12)
+        batch = (np.array([[0.5]]), np.array([[0.9]]))
+        assert evaluate(identity_net(1), batch) == pytest.approx(0.16, abs=1e-12)
 
     def test_mean_over_components_too(self):
         # Residuals 1 and 0 in one pattern average to 0.5.
-        assert compute_mse([[0.0, 1.0]], [[1.0, 1.0]]) == 0.5
+        batch = (np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]]))
+        assert evaluate(identity_net(2), batch) == 0.5
 
     def test_errors(self):
+        net = identity_net(1)
         with pytest.raises(ValueError, match="empty"):
-            compute_mse([], [])
+            evaluate(net, (np.empty((0, 1)), np.empty((0, 1))))
         with pytest.raises(ValueError):
-            compute_mse([[0.0]], [[0.0], [1.0]])
+            evaluate(net, (np.array([[0.0]]), np.array([[0.0], [1.0]])))
         with pytest.raises(ValueError):
-            compute_mse([[0.0]], [[0.0, 1.0]])
+            evaluate(net, (np.array([[0.0]]), np.array([[0.0, 1.0]])))
 
 
 class TestBackpropGradients:
     def test_zero_residual_means_zero_gradients(self):
         config = NetworkConfig(3, (LayerSpec(1, PURELIN),), seed=0)
         net = Network(config, [np.array([[1.0, 0.0, 2.0]])], [np.array([0.5])])
-        batch = [([1.0, 5.0, 2.0], [5.5]), ([0.0, 1.0, 0.0], [0.5])]
+        batch = (np.array([[1.0, 5.0, 2.0], [0.0, 1.0, 0.0]]), np.array([[5.5], [0.5]]))
         grads, mse = backprop_gradients(net, batch)
         assert mse == 0.0
         for g in grads.weights + grads.biases:
@@ -150,7 +164,7 @@ class TestBackpropGradients:
         x = np.array([1.5, -2.0, 0.5])
         t = 0.7
         o = float((net.weights[0] @ x)[0] + net.biases[0][0])
-        grads, mse = backprop_gradients(net, [(x, [t])])
+        grads, mse = backprop_gradients(net, (x[np.newaxis, :], np.array([[t]])))
         assert mse == pytest.approx((o - t) ** 2, rel=1e-15)
         np.testing.assert_allclose(grads.weights[0], 2.0 * (o - t) * x[np.newaxis, :], rtol=1e-14)
         np.testing.assert_allclose(grads.biases[0], [2.0 * (o - t)], rtol=1e-14)
@@ -181,7 +195,7 @@ class TestBackpropGradients:
         config = NetworkConfig(2, (LayerSpec(3, TANSIG), LayerSpec(2, LOGSIG),
                                    LayerSpec(1, PURELIN)), seed=4)
         net = init_network(config)
-        grads, _ = backprop_gradients(net, [([0.1, 0.2], [0.3])])
+        grads, _ = backprop_gradients(net, (np.array([[0.1, 0.2]]), np.array([[0.3]])))
         grads.check_congruent(net)
         for g, W in zip(grads.weights, net.weights):
             assert g.shape == W.shape
@@ -190,7 +204,10 @@ class TestBackpropGradients:
 
     def test_propagates_dimension_errors(self):
         net = init_network(NetworkConfig(3, (LayerSpec(1, TANSIG),), seed=0))
-        with pytest.raises(ValueError):
-            backprop_gradients(net, [([1.0, 2.0], [0.5])])
+        with pytest.raises(ValueError, match="width 2"):
+            backprop_gradients(net, (np.array([[1.0, 2.0]]), np.array([[0.5]])))
         with pytest.raises(ValueError, match="empty"):
-            backprop_gradients(net, [])
+            backprop_gradients(net, (np.empty((0, 3)), np.empty((0, 1))))
+        # Only (X, T) arrays are batches; a list of per-row pairs is not.
+        with pytest.raises(ValueError, match=r"\(X, T\) pair"):
+            backprop_gradients(net, [(np.ones(3), np.ones(1))])

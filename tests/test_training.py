@@ -17,19 +17,21 @@ from hrdiag import (
     init_network,
     train,
     train_epoch,
-    validation_trace,
     zero_gradients,
 )
 
 TANSIG = Activation.TANSIG
 PURELIN = Activation.PURELIN
 
-XOR_BATCH = [
-    ([-1.0, -1.0], [-0.9]),
-    ([-1.0, 1.0], [0.9]),
-    ([1.0, -1.0], [0.9]),
-    ([1.0, 1.0], [-0.9]),
-]
+XOR_BATCH = (
+    np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
+    np.array([[-0.9], [0.9], [0.9], [-0.9]]),
+)
+
+
+def scalar_batch(xs, ts):
+    """An (X, T) batch for a one-input, one-output net."""
+    return np.array(xs, dtype=float)[:, None], np.array(ts, dtype=float)[:, None]
 
 
 def scalar_net(w=0.0, b=0.0):
@@ -45,7 +47,7 @@ def params(**kwargs):
 class TestTrainEpoch:
     # The scalar net with x=1, t=1 gives mse = (w + b - 1)**2 and lets us
     # steer the candidate MSE exactly through the learning rate.
-    BATCH = [([1.0], [1.0])]
+    BATCH = scalar_batch([1.0], [1.0])
 
     def test_rejection_restores_network_and_shrinks_lr(self):
         net = scalar_net()
@@ -155,7 +157,7 @@ class TestTrain:
         # adaptive off, momentum zero: mse = (2w + b - 1)**2 must shrink
         # every epoch under a small fixed step.
         net = scalar_net()
-        batch = [([2.0], [1.0])]
+        batch = scalar_batch([2.0], [1.0])
         _, trace = train(net, batch, params(learning_rate=0.01, momentum=0.0,
                                             adaptive=False, max_epochs=100,
                                             error_goal=1e-12))
@@ -247,7 +249,7 @@ class TestTrainMatchesHandSteppedEpochs:
         # give finite parameters whose MSE overflows, until near epoch 1000
         # one gives a finite MSE and is accepted.
         trace = self.check(params(learning_rate=1e308, max_epochs=1200),
-                           net=scalar_net(), batch=[([1.0], [1.0])])
+                           net=scalar_net(), batch=scalar_batch([1.0], [1.0]))
         assert trace.records[0].mse == math.inf and not trace.records[0].accepted
         assert any(r.accepted for r in trace.records)
 
@@ -261,30 +263,33 @@ class TestTrainMatchesHandSteppedEpochs:
 class TestEvaluate:
     def test_exact_fit_is_zero(self):
         net = scalar_net(w=2.0, b=-1.0)
-        assert evaluate(net, [([1.0], [1.0]), ([2.0], [3.0])]) == 0.0
+        assert evaluate(net, scalar_batch([1.0, 2.0], [1.0, 3.0])) == 0.0
 
     def test_single_pattern_value(self):
         net = scalar_net(w=0.0, b=0.5)
-        assert evaluate(net, [([0.0], [0.9])]) == pytest.approx(0.16, abs=1e-12)
+        assert evaluate(net, scalar_batch([0.0], [0.9])) == pytest.approx(0.16, abs=1e-12)
 
     def test_requires_targets_shape(self):
         net = scalar_net()
         with pytest.raises(ValueError):
-            evaluate(net, [([1.0], [1.0, 2.0])])
+            evaluate(net, (np.array([[1.0]]), np.array([[1.0, 2.0]])))
 
 
 class TestValidationTrace:
+    """Training continued on held-out data from trained weights, as
+    ``eval --paper-validation`` runs it."""
+
     def test_already_at_goal_stops_at_first_epoch(self):
         net = scalar_net(w=1.0, b=0.0)
-        holdout = [([1.0], [1.0]), ([2.0], [2.0])]
-        trace = validation_trace(net, holdout, params(max_epochs=50))
+        holdout = scalar_batch([1.0, 2.0], [1.0, 2.0])
+        _, trace = train(net, holdout, params(max_epochs=50))
         assert len(trace.records) == 1
         assert trace.stopping_reason is StoppingReason.GOAL_REACHED
         assert trace.final_mse == 0.0
 
     def test_error_line_format(self):
         net = scalar_net(w=1.0, b=0.0)
-        trace = validation_trace(net, [([1.0], [1.0])], params(max_epochs=10))
+        _, trace = train(net, scalar_batch([1.0], [1.0]), params(max_epochs=10))
         assert trace.error_lines() == ["error=0.000000 no.of epoches=1"]
 
 
