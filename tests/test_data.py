@@ -96,14 +96,26 @@ class TestEmbeddedData:
         for p in ds.training + ds.testing:
             assert all(-1.0 <= v <= 5.0 for v in p.inputs)
 
-    def test_csv_round_trip(self, tmp_path):
+    @staticmethod
+    def write_repr_csv(path, patterns, with_targets):
         # Normalized values such as -1/3 need all 17 digits of repr.
+        header = "strategic,tactical,operational" + (",target" if with_targets else "")
+        rows = [p.inputs + ((p.target,) if with_targets else ()) for p in patterns]
+        lines = [header] + [",".join(repr(v) for v in row) for row in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_csv_round_trip(self, tmp_path):
+        training = load_embedded().training
+        path = tmp_path / "train.csv"
+        self.write_repr_csv(path, training, with_targets=False)
+        with pytest.warns(UserWarning):  # sub-1 values in the bundled data
+            assert load_csv(path) == training
+
+    def test_csv_round_trip_with_targets(self, tmp_path):
         ds = prepared_embedded()
         patterns = ds.training + ds.testing
-        lines = ["strategic,tactical,operational,target"]
-        lines += [",".join(repr(v) for v in p.inputs + (p.target,)) for p in patterns]
         path = tmp_path / "data.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.write_repr_csv(path, patterns, with_targets=True)
         with pytest.warns(UserWarning):  # values below 1
             assert load_csv(path) == patterns
 
