@@ -29,8 +29,9 @@ for factor in FACTOR_GROUPS["strategic"]:
     scores[factor] = 5.0
 response = QuestionnaireResponse(scores)
 
-pattern = aggregate_questionnaire(response)
-print(f"x1={pattern.strategic:.3f} x2={pattern.tactical:.3f} x3={pattern.operational:.3f}")
+aggregates = aggregate_questionnaire(response)   # (strategic, tactical, operational)
+x1, x2, x3 = aggregates
+print(f"x1={x1:.3f} x2={x2:.3f} x3={x3:.3f}")
 
 # Train the default model on the bundled data, then diagnose.
 dataset = prepared_embedded(threshold=2.5)
@@ -42,7 +43,7 @@ trained, _ = train(net, batch, params)
 model = model_from_training(trained, dataset.normalization, params,
                             evaluate(trained, batch), SurrogateRule(2.5))
 
-result = diagnose(model, pattern.inputs)
+result = diagnose(model, aggregates)
 print(f"label: {result.label.value}")
 print(f"raw output: {result.raw_output:.6f}")
 print(f"model accuracy context: MSE {result.train_mse:.6f}, "

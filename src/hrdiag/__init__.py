@@ -11,7 +11,6 @@ from .activations import Activation, logsig, purelin, tansig
 from .data import (
     Dataset,
     NormalizationMap,
-    Pattern,
     QuestionnaireResponse,
     aggregate_questionnaire,
     as_training_batch,

@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    RAW_MAX,
+    RAW_MIN,
     Dataset,
     aggregate_questionnaire,
     as_training_batch,
@@ -76,19 +78,29 @@ def _require_one_source(args) -> None:
         raise ValueError("no data source: pass --embedded or --data <csv>")
 
 
+def _read_csv(args):
+    """The respondent set in ``--data``, with a note on sub-1 inputs."""
+    X, T = load_csv(args.data)
+    sub_one = int(np.count_nonzero(X < 1.0))
+    if sub_one:
+        _say(args, f"note: {args.data}: {sub_one} input value(s) below the 1..5 questionnaire "
+                   f"scale (accepted; declared range is [{RAW_MIN:g}, {RAW_MAX:g}])")
+    return X, T
+
+
 def _load_training_data(args) -> tuple[Dataset, bool]:
     """Training-ready dataset (normalized, targeted) plus a surrogate flag."""
     _require_one_source(args)
     if args.embedded:
         return prepared_embedded(args.threshold), True
-    patterns = load_csv(args.data)
-    used_surrogate = any(p.target is None for p in patterns)
+    X, T = _read_csv(args)
+    used_surrogate = T is None
     if used_surrogate:
-        patterns = assign_surrogate_targets(patterns, args.threshold)
+        X, T = assign_surrogate_targets((X, T), args.threshold)
     if getattr(args, "split", False):
-        training, testing = split_70_30(patterns, args.seed)
+        training, testing = split_70_30((X, T), args.seed)
     else:
-        training, testing = patterns, []
+        training, testing = (X, T), (X[:0], T[:0])
     training_n, nmap = normalize(training)
     testing_n, _ = normalize(testing)
     return Dataset(training_n, testing_n, nmap), used_surrogate
@@ -134,27 +146,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_patterns(args, model) -> tuple[list, bool]:
-    """Raw-coordinate, targeted patterns for evaluation plus a surrogate flag."""
+def _load_eval_set(args, model) -> tuple[tuple, bool]:
+    """Raw-coordinate, targeted respondents for evaluation plus a surrogate flag."""
     _require_one_source(args)
     if args.embedded:
         raw = load_embedded()
         selected = raw.training if args.split == "train" else raw.testing
         threshold = model.surrogate_rule.threshold if model.surrogate_rule else args.threshold
         return assign_surrogate_targets(selected, threshold), True
-    patterns = load_csv(args.data)
-    if any(p.target is None for p in patterns):
+    X, T = _read_csv(args)
+    if T is None:
         raise ValueError(f"{args.data}: targets required for evaluation")
-    return patterns, False
+    return (X, T), False
 
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     net = model.network()
-    patterns, used_surrogate = _load_eval_patterns(args, model)
+    (X, T), used_surrogate = _load_eval_set(args, model)
     if model.normalization is not None:
-        patterns = [model.normalization.apply_pattern(p) for p in patterns]
-    X, T = batch = as_training_batch(patterns)
+        X = model.normalization.apply(X)
+    batch = (X, T)
 
     mse = evaluate(net, batch)
     outputs = _forward_arrays(net.config.layers, net.weights, net.biases, X)[-1][:, 0]
@@ -204,8 +216,7 @@ def cmd_predict(args) -> int:
     if (args.values is None) == (args.questionnaire is None):
         raise ValueError("pass either three comma-separated values or --questionnaire <csv>")
     if args.questionnaire:
-        pattern = aggregate_questionnaire(load_questionnaire_csv(args.questionnaire))
-        values = pattern.inputs
+        values = aggregate_questionnaire(load_questionnaire_csv(args.questionnaire))
         _say(args, f"aggregates: x1={values[0]:.3f} x2={values[1]:.3f} x3={values[2]:.3f}")
     else:
         parts = args.values.split(",")
@@ -230,8 +241,8 @@ def cmd_predict(args) -> int:
 
 def cmd_score(args) -> int:
     resp = load_questionnaire_csv(args.questionnaire)
-    pattern = aggregate_questionnaire(resp)
-    _say(args, f"x1={pattern.strategic:.3f} x2={pattern.tactical:.3f} x3={pattern.operational:.3f}")
+    x1, x2, x3 = aggregate_questionnaire(resp)
+    _say(args, f"x1={x1:.3f} x2={x2:.3f} x3={x3:.3f}")
     _say(args)
     width = max(len(f) for factors in FACTOR_GROUPS.values() for f in factors)
     for group, factors in FACTOR_GROUPS.items():

@@ -1,10 +1,11 @@
-"""Survey patterns: aggregation, loading, normalization, targets, splits.
+"""Respondent sets: aggregation, loading, normalization, targets, splits.
 
-A :class:`Pattern` is one respondent reduced to the three aggregate
-factor-group means (strategic, tactical, operational) plus an optional
-target outcome.  Raw aggregate values live in [-1, 5]: the questionnaire
-scale is 1..5, but the bundled survey data contains values down to -1,
-so the loader accepts that wider range and merely warns below 1.
+A respondent set is an ``(X, T)`` pair shaped like a training batch:
+float64 ``X`` (n, 3) holds the three aggregate factor-group means
+(strategic, tactical, operational), float64 ``T`` (n, 1) the target
+outcomes, or None.  Raw aggregate values live in [-1, 5]: the
+questionnaire scale is 1..5, but the bundled survey data contains values
+down to -1, so the loader accepts that wider range.
 
 Outcome labels for the bundled data were never published.  Training
 therefore uses documented surrogate targets: +0.9 (success) when the
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,30 +40,18 @@ FAILURE_TARGET = -0.9
 CSV_COLUMNS = ("strategic", "tactical", "operational")
 CSV_TARGET_COLUMN = "target"
 
+# Per-column bounds of a targeted CSV row; an input-only row uses the first three.
+_CSV_LOW = (RAW_MIN, RAW_MIN, RAW_MIN, TARGET_MIN)
+_CSV_HIGH = (RAW_MAX, RAW_MAX, RAW_MAX, TARGET_MAX)
 
-@dataclass(frozen=True)
-class Pattern:
-    """Aggregate scores for one respondent, with an optional target outcome."""
-
-    strategic: float
-    tactical: float
-    operational: float
-    target: float | None = None
-
-    def __post_init__(self):
-        for name in CSV_COLUMNS:
-            _check_range(name, getattr(self, name), RAW_MIN, RAW_MAX)
-        if self.target is not None:
-            _check_range(CSV_TARGET_COLUMN, self.target, TARGET_MIN, TARGET_MAX)
-
-    @property
-    def inputs(self) -> tuple[float, float, float]:
-        return (self.strategic, self.tactical, self.operational)
+Respondents = tuple[np.ndarray, np.ndarray | None]
 
 
-def _check_range(column: str, v: float, lo: float, hi: float) -> None:
-    if not lo <= v <= hi:  # NaN fails every comparison, so it is rejected too
-        raise ValueError(f"column '{column}': value {v} outside [{lo:g}, {hi:g}]")
+def first_out_of_range(values: np.ndarray, lo, hi) -> int | None:
+    """Flat (row-major) index of the first value outside [lo, hi] (bounds
+    broadcast, so they may be per column), or None.  NaN counts as outside."""
+    bad = ~((values >= lo) & (values <= hi))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -81,23 +69,18 @@ class NormalizationMap:
                 f"got offset {self.offset!r} and scale {self.scale!r}"
             )
 
-    def apply(self, v: float) -> float:
+    def apply(self, v):
+        """Scale a value or, elementwise, an array of values."""
         return (v - self.offset) / self.scale
-
-    def apply_pattern(self, p: Pattern) -> Pattern:
-        return Pattern(
-            self.apply(p.strategic), self.apply(p.tactical), self.apply(p.operational),
-            p.target,
-        )
 
 
 @dataclass
 class Dataset:
-    """Training and testing pattern lists plus the input normalization in
-    effect (None while patterns are still in raw coordinates)."""
+    """Training and testing respondent sets plus the input normalization in
+    effect (None in raw coordinates).  Zero testing rows mean no test split."""
 
-    training: list[Pattern]
-    testing: list[Pattern]
+    training: Respondents
+    testing: Respondents
     normalization: NormalizationMap | None = None
 
 
@@ -115,9 +98,7 @@ class QuestionnaireResponse:
         if missing:
             raise ValueError(f"missing factor(s): {', '.join(missing)}")
         for factor, score in self.scores.items():
-            if not math.isfinite(score):
-                raise ValueError(f"factor {factor}: score must be finite")
-            if not RAW_MIN <= score <= RAW_MAX:
+            if not RAW_MIN <= score <= RAW_MAX:  # NaN fails every comparison too
                 raise ValueError(
                     f"factor {factor}: score {score} outside [{RAW_MIN:g}, {RAW_MAX:g}]"
                 )
@@ -127,9 +108,9 @@ class QuestionnaireResponse:
         return sum(self.scores[f] for f in factors) / len(factors)
 
 
-def aggregate_questionnaire(resp: QuestionnaireResponse) -> Pattern:
-    """Reduce a full questionnaire to the three factor-group means."""
-    return Pattern(
+def aggregate_questionnaire(resp: QuestionnaireResponse) -> tuple[float, float, float]:
+    """Reduce a full questionnaire to the (strategic, tactical, operational) means."""
+    return (
         resp.group_mean("strategic"),
         resp.group_mean("tactical"),
         resp.group_mean("operational"),
@@ -138,9 +119,9 @@ def aggregate_questionnaire(resp: QuestionnaireResponse) -> Pattern:
 
 def load_embedded() -> Dataset:
     """The bundled 52-row training and 23-row testing tables, raw, untargeted."""
-    training = [Pattern(s, t, o) for _, s, t, o in EMBEDDED_TRAINING]
-    testing = [Pattern(s, t, o) for _, s, t, o in EMBEDDED_TESTING]
-    return Dataset(training, testing)
+    training = np.array([row[1:] for row in EMBEDDED_TRAINING], dtype=float)
+    testing = np.array([row[1:] for row in EMBEDDED_TESTING], dtype=float)
+    return Dataset((training, None), (testing, None))
 
 
 def _parse_cell(raw: str, row_num: int, column: str) -> float:
@@ -150,18 +131,18 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
         raise ValueError(f"row {row_num}, column '{column}': malformed number {raw!r}") from None
 
 
-def load_csv(path: str | Path) -> list[Pattern]:
-    """Load patterns from a CSV file.
+def load_csv(path: str | Path) -> Respondents:
+    """Load a respondent set from a CSV file.
 
     The header must be ``strategic,tactical,operational``, optionally
-    followed by a ``target`` column.  Values are checked by
-    :class:`Pattern`: inputs in [-1, 5] (values below 1 trigger a single
-    summary warning), targets in [-1, 1].  Errors name the offending row
-    (1-based, counting data rows) and column.
+    followed by a ``target`` column (T is None without it).  Inputs must
+    lie in [-1, 5] and targets in [-1, 1].  Errors name the offending row
+    (1-based, counting data rows) and column; every cell is parsed before
+    any range is checked, so a malformed cell is reported first.
     """
     path = Path(path)
     targeted = CSV_COLUMNS + (CSV_TARGET_COLUMN,)
-    patterns: list[Pattern] = []
+    rows: list[list[float]] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = tuple(h.strip() for h in next(reader, ()))
@@ -173,81 +154,84 @@ def load_csv(path: str | Path) -> list[Pattern]:
         for row_num, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ValueError(f"row {row_num}: expected {len(header)} columns, found {len(row)}")
-            values = [_parse_cell(raw, row_num, column) for column, raw in zip(header, row)]
-            try:
-                patterns.append(Pattern(*values))
-            except ValueError as exc:
-                raise ValueError(f"row {row_num}, {exc}") from None
-    sub_one = sum(v < 1.0 for p in patterns for v in p.inputs)
-    if sub_one:
-        warnings.warn(
-            f"{path}: {sub_one} input value(s) below the 1..5 questionnaire scale "
-            f"(accepted; declared range is [{RAW_MIN:g}, {RAW_MAX:g}])",
-            stacklevel=2,
+            rows.append([_parse_cell(raw, row_num, column) for column, raw in zip(header, row)])
+    ncols = len(header)
+    cells = np.array(rows, dtype=float).reshape(-1, ncols)
+    lo, hi = _CSV_LOW[:ncols], _CSV_HIGH[:ncols]
+    bad = first_out_of_range(cells, lo, hi)
+    if bad is not None:
+        r, c = divmod(bad, ncols)
+        raise ValueError(
+            f"row {r + 1}, column '{header[c]}': value {float(cells[r, c])} "
+            f"outside [{lo[c]:g}, {hi[c]:g}]"
         )
-    return patterns
+    # Contiguous like every other batch; products on strided views may round differently.
+    X = np.ascontiguousarray(cells[:, :3])
+    return X, (np.ascontiguousarray(cells[:, 3:]) if header == targeted else None)
 
 
-def normalize(patterns: list[Pattern]) -> tuple[list[Pattern], NormalizationMap]:
+def normalize(respondents: Respondents) -> tuple[Respondents, NormalizationMap]:
     """Apply the fixed affine map v -> (v - 2) / 3 to all inputs.
 
     The map sends the declared raw range [-1, 5] onto [-1, 1].  It is
     intentionally data-independent, so a stored model can reapply the
     identical transform at prediction time.  Targets are left untouched.
     """
+    X, T = respondents
     nmap = NormalizationMap()
-    return [nmap.apply_pattern(p) for p in patterns], nmap
+    return (nmap.apply(X), T), nmap
 
 
-def assign_surrogate_targets(patterns: list[Pattern], threshold: float = 2.5) -> list[Pattern]:
-    """Label raw patterns with the documented surrogate outcome rule.
+def assign_surrogate_targets(respondents: Respondents, threshold: float = 2.5) -> Respondents:
+    """Label raw respondents with the documented surrogate outcome rule.
 
     success (+0.9) when mean(strategic, tactical, operational) >= threshold,
-    failure (-0.9) otherwise.  Expects raw, un-normalized patterns.
+    failure (-0.9) otherwise.  Expects raw, un-normalized inputs; any
+    existing targets are replaced.  The threshold must be a finite number.
     """
-    out = []
-    for p in patterns:
-        mean = (p.strategic + p.tactical + p.operational) / 3.0
-        y = SUCCESS_TARGET if mean >= threshold else FAILURE_TARGET
-        out.append(replace(p, target=y))
-    return out
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not math.isfinite(threshold)):
+        raise ValueError(f"surrogate threshold must be a finite number, got {threshold!r}")
+    X, _ = respondents
+    # The explicit column sum keeps the rounding of (s + t + o) / 3.0.
+    mean = (X[:, 0] + X[:, 1] + X[:, 2]) / 3.0
+    T = np.where(mean >= threshold, SUCCESS_TARGET, FAILURE_TARGET).reshape(-1, 1)
+    return X, T
 
 
-def split_70_30(patterns: list[Pattern], seed: int) -> tuple[list[Pattern], list[Pattern]]:
-    """Seeded shuffle, then ceil(0.7 n) patterns to train and the rest to test.
+def split_70_30(respondents: Respondents, seed: int) -> tuple[Respondents, Respondents]:
+    """Seeded shuffle, then ceil(0.7 n) respondents to train and the rest to test.
 
     Not used for the bundled data, whose 52/23 partition is already
     materialized.
     """
-    n = len(patterns)
+    X, T = respondents
+    n = X.shape[0]
     if n < 2:
-        raise ValueError(f"need at least 2 patterns to split, got {n}")
+        raise ValueError(f"need at least 2 respondents to split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     cut = (7 * n + 9) // 10  # ceil(0.7 n) in exact integer arithmetic
-    train = [patterns[i] for i in order[:cut]]
-    test = [patterns[i] for i in order[cut:]]
-    return train, test
+    train, test = order[:cut], order[cut:]
+    if T is None:
+        return (X[train], None), (X[test], None)
+    return (X[train], T[train]), (X[test], T[test])
 
 
-def as_training_batch(patterns: list[Pattern]) -> tuple[np.ndarray, np.ndarray]:
-    """Patterns as an (X, T) batch: inputs of shape (n, 3) and targets of
-    shape (n, 1).  Every pattern needs a target."""
-    for i, p in enumerate(patterns):
-        if p.target is None:
-            raise ValueError(f"pattern {i} has no target")
-    X = np.array([p.inputs for p in patterns], dtype=float).reshape(-1, len(CSV_COLUMNS))
-    T = np.array([p.target for p in patterns], dtype=float).reshape(-1, 1)
+def as_training_batch(respondents: Respondents) -> tuple[np.ndarray, np.ndarray]:
+    """A targeted respondent set as an (X, T) batch: inputs of shape (n, 3)
+    and targets of shape (n, 1)."""
+    X, T = respondents
+    if T is None:
+        raise ValueError("respondent set has no target column")
     return X, T
 
 
 def prepared_embedded(threshold: float = 2.5) -> Dataset:
     """Bundled data ready to train on: surrogate targets plus normalization."""
     raw = load_embedded()
-    training = assign_surrogate_targets(raw.training, threshold)
-    testing = assign_surrogate_targets(raw.testing, threshold)
-    training_n, nmap = normalize(training)
-    testing_n, _ = normalize(testing)
-    return Dataset(training_n, testing_n, nmap)
+    training, nmap = normalize(assign_surrogate_targets(raw.training, threshold))
+    testing, _ = normalize(assign_surrogate_targets(raw.testing, threshold))
+    return Dataset(training, testing, nmap)
 
 
 def load_questionnaire_csv(path: str | Path) -> QuestionnaireResponse:

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RAW_MAX, RAW_MIN, FAILURE_TARGET, SUCCESS_TARGET, NormalizationMap
+from .data import (
+    RAW_MAX, RAW_MIN, FAILURE_TARGET, SUCCESS_TARGET, NormalizationMap, first_out_of_range,
+)
 from .network import LayerSpec, Network, NetworkConfig, forward
 from .activations import Activation
 from .training import TrainParams, accuracy_from_mse
@@ -179,21 +181,18 @@ class Diagnosis:
 def diagnose(model: ModelFile, raw_inputs) -> Diagnosis:
     """Score one respondent's raw aggregate values with a loaded model.
 
-    Applies the stored normalization, runs the forward pass and thresholds
-    the single output at zero (success when >= 0).
+    Applies the stored normalization, runs the forward pass (which rejects
+    a wrong length or a non-finite value) and thresholds the single output
+    at zero (success when >= 0).
     """
     values = np.asarray(raw_inputs, dtype=float).ravel()
-    if values.size != model.config.input_dim:
-        raise ValueError(f"input has length {values.size}, expected {model.config.input_dim}")
-    if not np.isfinite(values).all():
-        raise ValueError("input contains non-finite values")
     if model.normalization is not None:
         # A stored normalization implies survey-domain inputs, so enforce
         # the declared raw range before scaling.
-        for v in values:
-            if not RAW_MIN <= v <= RAW_MAX:
-                raise ValueError(f"input value {v:g} outside [{RAW_MIN:g}, {RAW_MAX:g}]")
-        values = np.array([model.normalization.apply(v) for v in values])
+        bad = first_out_of_range(values, RAW_MIN, RAW_MAX)
+        if bad is not None:
+            raise ValueError(f"input value {values[bad]:g} outside [{RAW_MIN:g}, {RAW_MAX:g}]")
+        values = model.normalization.apply(values)
     output, _ = forward(model.network(), values)
     raw = float(output[0])
     if not math.isfinite(raw):

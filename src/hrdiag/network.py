@@ -63,6 +63,8 @@ class NetworkConfig:
             raise ValueError(f"input_dim must be a positive integer, got {self.input_dim!r}")
         if len(self.layers) == 0:
             raise ValueError("need at least one layer (the output layer)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 

@@ -178,7 +178,7 @@ def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> l
     rows with smaller budgets keep their results.
     """
     train_batch = as_training_batch(data.training)
-    test_batch = as_training_batch(data.testing) if data.testing else None
+    test_batch = as_training_batch(data.testing) if len(data.testing[0]) else None
 
     budgets_of: dict[tuple, set[int]] = {}
     for cell in config.grid:

@@ -204,15 +204,16 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 
 def test_criterion_8_dataset_fidelity():
     ds = load_embedded()
+    X, Xt = ds.training[0], ds.testing[0]
     spot = (
-        len(ds.training) == 52
-        and len(ds.testing) == 23
-        and ds.training[0].inputs == (1.0, 2.0, 1.0)     # Emp1
-        and ds.training[29].inputs == (5.0, 5.0, 5.0)    # Emp30
-        and ds.testing[15].inputs == (0.0, 0.0, 0.0)     # Empt16
+        X.shape == (52, 3)
+        and Xt.shape == (23, 3)
+        and X[0].tolist() == [1.0, 2.0, 1.0]      # Emp1
+        and X[29].tolist() == [5.0, 5.0, 5.0]     # Emp30
+        and Xt[15].tolist() == [0.0, 0.0, 0.0]    # Empt16
     )
     resp = QuestionnaireResponse({f: 3.0 for f in ALL_FACTORS})
-    agg = aggregate_questionnaire(resp).inputs == (3.0, 3.0, 3.0)
+    agg = aggregate_questionnaire(resp) == (3.0, 3.0, 3.0)
     ok = spot and agg
     report(8, ok, f"52/23 rows with reference values: {spot}, "
                   f"all-3s questionnaire aggregates to (3,3,3): {agg}")

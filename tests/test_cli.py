@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import warnings
 
 import pytest
 
@@ -71,6 +73,29 @@ class TestTrain:
         code, _, err = run(capsys, "train")
         assert code != 0 and "no data source" in err
 
+    def test_sub_one_inputs_give_one_note(self, capsys, tmp_path):
+        data = tmp_path / "low.csv"
+        data.write_text("strategic,tactical,operational\n0.5,2,3\n4,0,-1\n", encoding="utf-8")
+        argv = ["train", "--data", str(data), "--epochs", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            quiet = run(capsys, *argv, "--quiet")
+            loud = run(capsys, *argv)
+        assert quiet == (0, "", "")
+        assert [str(w.message) for w in caught] == []
+        code, out, err = loud
+        assert code == 0 and err == ""
+        notes = [line for line in out.splitlines() if line.startswith("note: ")
+                 and "below the 1..5" in line]
+        assert notes == [f"note: {data}: 3 input value(s) below the 1..5 questionnaire "
+                         f"scale (accepted; declared range is [-1, 5])"]
+
+    def test_non_finite_threshold_rejected(self, capsys):
+        code, out, err = run(capsys, "train", "--embedded", "--threshold", "nan",
+                             "--epochs", "1")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "threshold" in err
+
 
 class TestEval:
     def test_train_split_mse_matches_model(self, capsys, model_path):
@@ -89,6 +114,16 @@ class TestEval:
         assert lines, out
         for line in lines:
             assert re.fullmatch(r"error=\d+\.\d{6} no\.of epoches=\d+", line)
+
+    @pytest.mark.parametrize("threshold", ["x", math.nan])
+    def test_bad_model_threshold_rejected(self, capsys, model_path, tmp_path, threshold):
+        raw = json.loads(model_path.read_text(encoding="utf-8"))
+        raw["surrogate_target_rule"]["threshold"] = threshold  # json writes NaN
+        path = tmp_path / "bad-threshold.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "--embedded")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "threshold" in err
 
     def test_targets_required(self, capsys, model_path, tmp_path):
         data = tmp_path / "notargets.csv"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrdiag import (
     ALL_FACTORS,
@@ -8,7 +12,6 @@ from hrdiag import (
     STRATEGIC_FACTORS,
     TACTICAL_FACTORS,
     NormalizationMap,
-    Pattern,
     QuestionnaireResponse,
     aggregate_questionnaire,
     assign_surrogate_targets,
@@ -42,27 +45,29 @@ class TestFactorCatalog:
 
 class TestAggregation:
     def test_constant_scores(self):
-        p = aggregate_questionnaire(questionnaire(3.0))
-        assert p.inputs == (3.0, 3.0, 3.0)
-        assert p.target is None
+        assert aggregate_questionnaire(questionnaire(3.0)) == (3.0, 3.0, 3.0)
 
     def test_group_separation(self):
         scores = {f: 5.0 for f in STRATEGIC_FACTORS}
         scores.update({f: 1.0 for f in TACTICAL_FACTORS + OPERATIONAL_FACTORS})
-        p = aggregate_questionnaire(QuestionnaireResponse(scores))
-        assert p.inputs == (5.0, 1.0, 1.0)
+        assert aggregate_questionnaire(QuestionnaireResponse(scores)) == (5.0, 1.0, 1.0)
 
     def test_strategic_mean(self):
         values = (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
         scores = {f: float(v) for f, v in zip(STRATEGIC_FACTORS, values)}
         scores.update({f: 1.0 for f in TACTICAL_FACTORS + OPERATIONAL_FACTORS})
-        p = aggregate_questionnaire(QuestionnaireResponse(scores))
-        assert p.strategic == 3.0
+        strategic, _, _ = aggregate_questionnaire(QuestionnaireResponse(scores))
+        assert strategic == 3.0
 
     def test_missing_factor_named(self):
         scores = {f: 3.0 for f in ALL_FACTORS if f != "leadership"}
         with pytest.raises(ValueError, match="leadership"):
             QuestionnaireResponse(scores)
+
+    def test_non_finite_score_named(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"factor leadership: score {bad} outside"):
+                questionnaire(leadership=bad)
 
     def test_unknown_factor_named(self):
         scores = {f: 3.0 for f in ALL_FACTORS}
@@ -74,50 +79,59 @@ class TestAggregation:
         rng = np.random.default_rng(19)
         for _ in range(50):
             scores = {f: float(rng.uniform(1.0, 5.0)) for f in ALL_FACTORS}
-            p = aggregate_questionnaire(QuestionnaireResponse(scores))
-            assert all(1.0 <= v <= 5.0 for v in p.inputs)
+            values = aggregate_questionnaire(QuestionnaireResponse(scores))
+            assert all(1.0 <= v <= 5.0 for v in values)
+
+
+def write_repr_csv(path, X, T=None):
+    # Normalized values such as -1/3 need all 17 digits of repr.
+    header = "strategic,tactical,operational" + (",target" if T is not None else "")
+    cells = X if T is None else np.hstack([X, T])
+    lines = [header] + [",".join(repr(v) for v in row) for row in cells.tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEmbeddedData:
     def test_sizes(self):
         ds = load_embedded()
-        assert len(ds.training) == 52
-        assert len(ds.testing) == 23
+        assert ds.training[0].shape == (52, 3) and ds.training[1] is None
+        assert ds.testing[0].shape == (23, 3) and ds.testing[1] is None
 
     def test_spot_values(self):
-        ds = load_embedded()
-        assert ds.training[0].inputs == (1.0, 2.0, 1.0)     # Emp1
-        assert ds.training[29].inputs == (5.0, 5.0, 5.0)    # Emp30
-        assert ds.testing[15].inputs == (0.0, 0.0, 0.0)     # Empt16
-        assert ds.testing[0].inputs == (1.3, 1.2, 1.1)      # Empt1
+        X, _ = load_embedded().training
+        Xt, _ = load_embedded().testing
+        assert X[0].tolist() == [1.0, 2.0, 1.0]     # Emp1
+        assert X[29].tolist() == [5.0, 5.0, 5.0]    # Emp30
+        assert Xt[15].tolist() == [0.0, 0.0, 0.0]   # Empt16
+        assert Xt[0].tolist() == [1.3, 1.2, 1.1]    # Empt1
 
     def test_values_within_declared_range(self):
         ds = load_embedded()
-        for p in ds.training + ds.testing:
-            assert all(-1.0 <= v <= 5.0 for v in p.inputs)
-
-    @staticmethod
-    def write_repr_csv(path, patterns, with_targets):
-        # Normalized values such as -1/3 need all 17 digits of repr.
-        header = "strategic,tactical,operational" + (",target" if with_targets else "")
-        rows = [p.inputs + ((p.target,) if with_targets else ()) for p in patterns]
-        lines = [header] + [",".join(repr(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        X = np.vstack([ds.training[0], ds.testing[0]])
+        assert X.dtype == np.float64
+        assert ((-1.0 <= X) & (X <= 5.0)).all()
 
     def test_csv_round_trip(self, tmp_path):
-        training = load_embedded().training
+        X, _ = load_embedded().training
         path = tmp_path / "train.csv"
-        self.write_repr_csv(path, training, with_targets=False)
-        with pytest.warns(UserWarning):  # sub-1 values in the bundled data
-            assert load_csv(path) == training
+        write_repr_csv(path, X)
+        X_read, T_read = load_csv(path)
+        assert_same_bytes(X_read, X)
+        assert T_read is None
 
     def test_csv_round_trip_with_targets(self, tmp_path):
         ds = prepared_embedded()
-        patterns = ds.training + ds.testing
+        X = np.vstack([ds.training[0], ds.testing[0]])
+        T = np.vstack([ds.training[1], ds.testing[1]])
         path = tmp_path / "data.csv"
-        self.write_repr_csv(path, patterns, with_targets=True)
-        with pytest.warns(UserWarning):  # values below 1
-            assert load_csv(path) == patterns
+        write_repr_csv(path, X, T)
+        X_read, T_read = load_csv(path)
+        assert_same_bytes(X_read, X)
+        assert_same_bytes(T_read, T)
 
 
 class TestLoadCsv:
@@ -128,11 +142,15 @@ class TestLoadCsv:
 
     def test_basic(self, tmp_path):
         path = self.write(tmp_path, "strategic,tactical,operational\n1,2,1\n")
-        assert load_csv(path) == [Pattern(1.0, 2.0, 1.0)]
+        X, T = load_csv(path)
+        assert X.dtype == np.float64 and X.tolist() == [[1.0, 2.0, 1.0]]
+        assert T is None
 
     def test_with_targets(self, tmp_path):
         path = self.write(tmp_path, "strategic,tactical,operational,target\n5,5,5,0.9\n")
-        assert load_csv(path) == [Pattern(5.0, 5.0, 5.0, 0.9)]
+        X, T = load_csv(path)
+        assert X.tolist() == [[5.0, 5.0, 5.0]]
+        assert T.dtype == np.float64 and T.tolist() == [[0.9]]
 
     def test_wrong_column_count(self, tmp_path):
         path = self.write(tmp_path, "strategic,tactical,operational\n1,2\n")
@@ -142,6 +160,10 @@ class TestLoadCsv:
     def test_malformed_number_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "strategic,tactical,operational\n1,2,3\n1,x,3\n")
         with pytest.raises(ValueError, match="row 2, column 'tactical'"):
+            load_csv(path)
+        # Every cell is parsed before any range check.
+        path = self.write(tmp_path, "strategic,tactical,operational\n9,2,3\n1,x,3\n")
+        with pytest.raises(ValueError, match="row 2, column 'tactical': malformed"):
             load_csv(path)
 
     def test_input_out_of_range(self, tmp_path):
@@ -154,100 +176,189 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"row 1, column 'target'.*\[-1, 1\]"):
             load_csv(path)
 
+    def test_rejects_out_of_range(self, tmp_path):
+        inputs = "strategic,tactical,operational"
+        targeted = inputs + ",target"
+        cases = [
+            (inputs, "6,1,1", r"column 'strategic': value 6.0 outside \[-1, 5\]"),
+            (targeted, "1,1,1,1.5", r"column 'target': value 1.5 outside \[-1, 1\]"),
+            (inputs, "1,nan,1", r"column 'tactical': value nan outside \[-1, 5\]"),
+            (inputs, "1,1,inf", r"column 'operational': value inf outside \[-1, 5\]"),
+            (targeted, "1,1,1,-inf", r"column 'target': value -inf outside \[-1, 1\]"),
+        ]
+        for header, row, message in cases:
+            path = self.write(tmp_path, f"{header}\n{row}\n")
+            with pytest.raises(ValueError, match=rf"^row 1, {message}$"):
+                load_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = self.write(tmp_path, "a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="bad header"):
             load_csv(path)
 
-    def test_sub_one_values_warn_but_load(self, tmp_path):
+    def test_sub_one_values_load_without_warning(self, tmp_path, recwarn):
         path = self.write(tmp_path, "strategic,tactical,operational\n0.5,2,3\n")
-        with pytest.warns(UserWarning, match="below the 1..5"):
-            patterns = load_csv(path)
-        assert patterns == [Pattern(0.5, 2.0, 3.0)]
+        X, _ = load_csv(path)
+        assert X.tolist() == [[0.5, 2.0, 3.0]]
+        assert len(recwarn) == 0
+
+
+IN_RANGE = {"input": st.floats(-1.0, 5.0), "target": st.floats(-1.0, 1.0)}
+OUT_OF_RANGE = {
+    kind: st.floats(max_value=lo, exclude_max=True, allow_infinity=False)
+    | st.floats(min_value=hi, exclude_min=True, allow_infinity=False)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    for kind, lo, hi in (("input", -1.0, 5.0), ("target", -1.0, 1.0))
+}
+
+
+@st.composite
+def grids(draw, min_rows=0):
+    """A repr-ready grid of in-range cells: (rows, has a target column)."""
+    targeted = draw(st.booleans())
+    kinds = ["input"] * 3 + ["target"] * targeted
+    n = draw(st.integers(min_rows, 6))
+    rows = [[draw(IN_RANGE[kind]) for kind in kinds] for _ in range(n)]
+    return rows, targeted
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "data.csv"
+
+
+def write_grid(path, rows, targeted):
+    header = "strategic,tactical,operational" + (",target" if targeted else "")
+    lines = [header] + [",".join(repr(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestLoadCsvProperties:
+    @settings(deadline=None, max_examples=100)
+    @given(grid=grids())
+    def test_repr_grid_round_trips(self, csv_path, grid):
+        rows, targeted = grid
+        write_grid(csv_path, rows, targeted)
+        X, T = load_csv(csv_path)
+        cells = np.array(rows, dtype=float).reshape(-1, 3 + targeted)
+        assert_same_bytes(X, np.ascontiguousarray(cells[:, :3]))
+        if targeted:
+            assert_same_bytes(T, np.ascontiguousarray(cells[:, 3:]))
+        else:
+            assert T is None
+
+    @settings(deadline=None, max_examples=100)
+    @given(grid=grids(min_rows=1), data=st.data())
+    def test_first_bad_cell_is_reported(self, csv_path, grid, data):
+        rows, targeted = grid
+        ncols = 3 + targeted
+        cells = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, ncols - 1))
+        planted = data.draw(st.lists(cells, min_size=1, max_size=4, unique=True))
+        for r, c in planted:
+            rows[r][c] = data.draw(OUT_OF_RANGE["target" if c == 3 else "input"])
+        write_grid(csv_path, rows, targeted)
+        r, c = min(planted)
+        name = ("strategic", "tactical", "operational", "target")[c]
+        bounds = "[-1, 1]" if c == 3 else "[-1, 5]"
+        expected = f"row {r + 1}, column '{name}': value {rows[r][c]} outside {bounds}"
+        with pytest.raises(ValueError) as exc:
+            load_csv(csv_path)
+        assert str(exc.value) == expected
 
 
 class TestNormalization:
     def test_fixed_map_values(self):
-        patterns, nmap = normalize([Pattern(2.0, -1.0, 5.0)])
-        assert patterns[0].inputs == (0.0, -1.0, 1.0)
+        (X, _), nmap = normalize((np.array([[2.0, -1.0, 5.0]]), None))
+        assert X.tolist() == [[0.0, -1.0, 1.0]]
         assert (nmap.offset, nmap.scale) == (2.0, 3.0)
 
     def test_emp1_mapping(self):
-        patterns, _ = normalize([Pattern(1.0, 2.0, 1.0)])
-        assert patterns[0].inputs == (-1.0 / 3.0, 0.0, -1.0 / 3.0)
+        (X, _), _ = normalize((np.array([[1.0, 2.0, 1.0]]), None))
+        assert X.tolist() == [[-1.0 / 3.0, 0.0, -1.0 / 3.0]]
 
     def test_targets_untouched(self):
-        patterns, _ = normalize([Pattern(5.0, 5.0, 5.0, 0.9)])
-        assert patterns[0].target == 0.9
+        T = np.array([[0.9]])
+        (_, T_out), _ = normalize((np.array([[5.0, 5.0, 5.0]]), T))
+        assert T_out is T
+
+
+def one_row(s, t, o):
+    return np.array([[s, t, o]]), None
 
 
 class TestSurrogateTargets:
     def test_reference_rows(self):
-        ds = load_embedded()
-        labeled = assign_surrogate_targets(ds.training)
-        assert labeled[29].target == 0.9    # Emp30 (5, 5, 5)
-        assert labeled[5].target == -0.9    # Emp6 (1, 1, 1)
+        _, T = assign_surrogate_targets(load_embedded().training)
+        assert T.shape == (52, 1) and T.dtype == np.float64
+        assert T[29, 0] == 0.9    # Emp30 (5, 5, 5)
+        assert T[5, 0] == -0.9    # Emp6 (1, 1, 1)
 
     def test_boundary_is_inclusive(self):
-        labeled = assign_surrogate_targets([Pattern(1.5, 3.0, 3.0)])  # mean exactly 2.5
-        assert labeled[0].target == 0.9
+        _, T = assign_surrogate_targets(one_row(1.5, 3.0, 3.0))  # mean exactly 2.5
+        assert T[0, 0] == 0.9
 
     def test_only_two_values(self):
         ds = load_embedded()
-        labeled = assign_surrogate_targets(ds.training + ds.testing)
-        assert {p.target for p in labeled} <= {-0.9, 0.9}
+        for respondents in (ds.training, ds.testing):
+            _, T = assign_surrogate_targets(respondents)
+            assert set(T[:, 0].tolist()) <= {-0.9, 0.9}
 
     def test_threshold_configurable(self):
-        pattern = Pattern(3.0, 3.0, 3.0)
-        assert assign_surrogate_targets([pattern], threshold=3.5)[0].target == -0.9
-        assert assign_surrogate_targets([pattern], threshold=2.0)[0].target == 0.9
+        respondents = one_row(3.0, 3.0, 3.0)
+        assert assign_surrogate_targets(respondents, threshold=3.5)[1][0, 0] == -0.9
+        assert assign_surrogate_targets(respondents, threshold=2.0)[1][0, 0] == 0.9
+
+    def test_matches_per_row_rule(self):
+        # Reference: the scalar rule (s + t + o) / 3.0 >= threshold, row by row.
+        rng = np.random.default_rng(3)
+        X = np.round(rng.uniform(-1.0, 5.0, size=(500, 3)), 1)
+        for threshold in (2.5, 1.0, 3.3):
+            _, T = assign_surrogate_targets((X, None), threshold)
+            expected = [0.9 if (s + t + o) / 3.0 >= threshold else -0.9
+                        for s, t, o in X.tolist()]
+            assert T[:, 0].tolist() == expected
 
 
 class TestSplit:
     def make(self, n):
-        return [Pattern(1.0 + (i % 40) * 0.1, 1.0, 1.0) for i in range(n)]
+        X = np.column_stack([1.0 + (np.arange(n) % 40) * 0.1, np.ones(n), np.ones(n)])
+        return X, None
 
     @pytest.mark.parametrize("n,expected", [(10, (7, 3)), (75, (53, 22)), (20, (14, 6)),
                                             (2, (2, 0))])
     def test_sizes(self, n, expected):
-        train, test = split_70_30(self.make(n), seed=1)
-        assert (len(train), len(test)) == expected
+        (X_train, _), (X_test, _) = split_70_30(self.make(n), seed=1)
+        assert (len(X_train), len(X_test)) == expected
 
     def test_partition(self):
-        patterns = self.make(30)
-        train, test = split_70_30(patterns, seed=5)
-        assert sorted(map(id, train + test)) == sorted(map(id, patterns))
-        assert not set(map(id, train)) & set(map(id, test))
+        X, _ = self.make(30)
+        T = X[:, :1] / 10.0  # targets must travel with their rows
+        (X_train, T_train), (X_test, T_test) = split_70_30((X, T), seed=5)
+        train, test = X_train[:, 0].tolist(), X_test[:, 0].tolist()
+        assert sorted(train + test) == sorted(X[:, 0].tolist())
+        assert not set(train) & set(test)
+        assert (T_train == X_train[:, :1] / 10.0).all() and (T_test == X_test[:, :1] / 10.0).all()
 
     def test_deterministic(self):
-        patterns = self.make(25)
-        assert split_70_30(patterns, seed=9) == split_70_30(patterns, seed=9)
+        respondents = self.make(25)
+        (a, _), (b, _) = split_70_30(respondents, seed=9)
+        (c, _), (d, _) = split_70_30(respondents, seed=9)
+        assert np.array_equal(a, c) and np.array_equal(b, d)
 
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError, match="at least 2"):
             split_70_30(self.make(1), seed=0)
 
 
-class TestPattern:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"^column 'strategic': value 6.0 outside \[-1, 5\]$"):
-            Pattern(6.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match=r"^column 'target': value 1.5 outside \[-1, 1\]$"):
-            Pattern(1.0, 1.0, 1.0, target=1.5)
-        with pytest.raises(ValueError, match="column 'tactical': value nan"):
-            Pattern(1.0, float("nan"), 1.0)
-        with pytest.raises(ValueError, match="column 'operational': value inf"):
-            Pattern(1.0, 1.0, float("inf"))
-
-
 class TestPreparedEmbedded:
     def test_ready_to_train(self):
         ds = prepared_embedded()
-        assert len(ds.training) == 52 and len(ds.testing) == 23
+        assert ds.training[0].shape == (52, 3) and ds.training[1].shape == (52, 1)
+        assert ds.testing[0].shape == (23, 3) and ds.testing[1].shape == (23, 1)
         assert ds.normalization == NormalizationMap()
-        for p in ds.training + ds.testing:
-            assert p.target in (-0.9, 0.9)
-            assert all(-1.0 <= v <= 1.0 for v in p.inputs)
+        for X, T in (ds.training, ds.testing):
+            assert set(T[:, 0].tolist()) <= {-0.9, 0.9}
+            assert ((-1.0 <= X) & (X <= 1.0)).all()
 
 
 class TestQuestionnaireCsv:
@@ -256,7 +367,7 @@ class TestQuestionnaireCsv:
         lines = ["factor_id,score"] + [f"{f},3" for f in ALL_FACTORS]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         resp = load_questionnaire_csv(path)
-        assert aggregate_questionnaire(resp).inputs == (3.0, 3.0, 3.0)
+        assert aggregate_questionnaire(resp) == (3.0, 3.0, 3.0)
 
     def test_duplicate_factor_named(self, tmp_path):
         path = tmp_path / "q.csv"

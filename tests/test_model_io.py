@@ -117,6 +117,8 @@ class TestLoadValidation:
             load_model(path)
 
     @pytest.mark.parametrize("section, key, value", [
+        ("config", "seed", 2.5),
+        ("config", "seed", True),
         ("train_params", "adaptive", "no"),
         ("train_params", "max_epochs", 2.5),
         ("train_params", "max_epochs", True),
@@ -161,6 +163,9 @@ class TestDiagnose:
     def test_out_of_range_rejected_with_range_named(self, trained_model):
         with pytest.raises(ValueError, match=r"\[-1, 5\]"):
             diagnose(trained_model, (6.0, 1.0, 1.0))
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match=rf"input value {bad} outside \[-1, 5\]"):
+                diagnose(trained_model, (1.0, bad, 1.0))
 
     def test_normalization_applied(self, trained_model):
         # Diagnosing raw values must equal forwarding normalized ones by hand.
