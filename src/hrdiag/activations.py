@@ -4,6 +4,10 @@ The three kinds keep their classic toolbox names so that architecture
 strings such as "4/logsig" read identically in configs, reports and
 saved models: tansig (tanh shape, range (-1, 1)), logsig (logistic
 sigmoid, range (0, 1)) and purelin (identity).
+
+Each function and derivative has one implementation, an in-place form
+that writes into buffers the caller owns (the training kernel allocates
+them once per run).  The allocating forms run it on fresh buffers.
 """
 
 from __future__ import annotations
@@ -13,40 +17,89 @@ from enum import Enum
 import numpy as np
 
 
-def tansig(x):
-    """Tanh-shaped sigmoid, algebraically 2 / (1 + exp(-2x)) - 1."""
-    return np.tanh(np.asarray(x, dtype=float))
+def scratch(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Temporaries for :meth:`Activation.apply_into` on an array of ``shape``:
+    two float64 arrays and a bool mask."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
-def logsig(x):
-    """Logistic sigmoid 1 / (1 + exp(-x)).
+def tansig_into(z, work) -> None:
+    """Tanh-shaped sigmoid, algebraically 2 / (1 + exp(-2z)) - 1, in place."""
+    np.tanh(z, out=z)
+
+
+def logsig_into(z, work) -> None:
+    """Logistic sigmoid 1 / (1 + exp(-z)), in place.
 
     exp() is only taken of non-positive arguments, so extreme inputs
-    saturate cleanly instead of overflowing.
+    saturate cleanly instead of overflowing: with e = exp(-|z|) the result
+    is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
     """
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e, d, nonneg = work
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=d)
+    np.greater_equal(z, 0.0, out=nonneg)
+    np.copyto(e, 1.0, where=nonneg)
+    np.divide(e, d, out=z)
+
+
+def purelin_into(z, work) -> None:
+    """Identity: nothing to do."""
+
+
+def tansig_deriv_into(output, out) -> None:
+    """Derivative of tansig written in terms of its output: 1 - o**2."""
+    np.square(output, out=out)
+    np.subtract(1.0, out, out=out)
+
+
+def logsig_deriv_into(output, out) -> None:
+    """Derivative of logsig written in terms of its output: o * (1 - o)."""
+    np.subtract(1.0, output, out=out)
+    np.multiply(output, out, out=out)
+
+
+def purelin_deriv_into(output, out) -> None:
+    out.fill(1.0)
+
+
+def _applied(fn, x):
+    z = np.array(x, dtype=float)
+    fn(z, scratch(z.shape))
+    return z[()]
+
+
+def _derived(fn, output):
+    output = np.asarray(output, dtype=float)
+    out = np.empty_like(output)
+    fn(output, out)
     return out[()]
 
 
+def tansig(x):
+    return _applied(tansig_into, x)
+
+
+def logsig(x):
+    return _applied(logsig_into, x)
+
+
 def purelin(x):
-    """Identity."""
-    return np.asarray(x, dtype=float)[()]
+    return _applied(purelin_into, x)
 
 
 def tansig_deriv(output):
-    """Derivative of tansig written in terms of its output: 1 - o**2."""
-    return 1.0 - np.square(output)
+    return _derived(tansig_deriv_into, output)
 
 
 def logsig_deriv(output):
-    """Derivative of logsig written in terms of its output: o * (1 - o)."""
-    return output * (1.0 - output)
+    return _derived(logsig_deriv_into, output)
 
 
 def purelin_deriv(output):
-    return np.ones_like(output)
+    return _derived(purelin_deriv_into, output)
 
 
 class Activation(Enum):
@@ -57,21 +110,29 @@ class Activation(Enum):
     PURELIN = "purelin"
 
     def apply(self, x):
-        return _APPLY[self](x)
+        return _applied(_APPLY[self], x)
+
+    def apply_into(self, z, work) -> None:
+        """Apply in place to ``z``, using ``work`` from :func:`scratch`."""
+        _APPLY[self](z, work)
 
     def deriv_from_output(self, output):
         """Derivative evaluated from the activation output, not the input."""
-        return _DERIV[self](output)
+        return _derived(_DERIV[self], output)
+
+    def deriv_into(self, output, out) -> None:
+        """:meth:`deriv_from_output` written into ``out``."""
+        _DERIV[self](output, out)
 
 
 _APPLY = {
-    Activation.TANSIG: tansig,
-    Activation.LOGSIG: logsig,
-    Activation.PURELIN: purelin,
+    Activation.TANSIG: tansig_into,
+    Activation.LOGSIG: logsig_into,
+    Activation.PURELIN: purelin_into,
 }
 
 _DERIV = {
-    Activation.TANSIG: tansig_deriv,
-    Activation.LOGSIG: logsig_deriv,
-    Activation.PURELIN: purelin_deriv,
+    Activation.TANSIG: tansig_deriv_into,
+    Activation.LOGSIG: logsig_deriv_into,
+    Activation.PURELIN: purelin_deriv_into,
 }

@@ -47,6 +47,13 @@ _CSV_HIGH = (RAW_MAX, RAW_MAX, RAW_MAX, TARGET_MAX)
 Respondents = tuple[np.ndarray, np.ndarray | None]
 
 
+def check_finite_number(name: str, value) -> None:
+    """Reject anything but a finite int or float, naming the field.  A bool
+    is rejected too, although Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def first_out_of_range(values: np.ndarray, lo, hi) -> int | None:
     """Flat (row-major) index of the first value outside [lo, hi] (bounds
     broadcast, so they may be per column), or None.  NaN counts as outside."""
@@ -189,9 +196,7 @@ def assign_surrogate_targets(respondents: Respondents, threshold: float = 2.5) -
     failure (-0.9) otherwise.  Expects raw, un-normalized inputs; any
     existing targets are replaced.  The threshold must be a finite number.
     """
-    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-            or not math.isfinite(threshold)):
-        raise ValueError(f"surrogate threshold must be a finite number, got {threshold!r}")
+    check_finite_number("surrogate threshold", threshold)
     X, _ = respondents
     # The explicit column sum keeps the rounding of (s + t + o) / 3.0.
     mean = (X[:, 0] + X[:, 1] + X[:, 2]) / 3.0

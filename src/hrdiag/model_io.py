@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    RAW_MAX, RAW_MIN, FAILURE_TARGET, SUCCESS_TARGET, NormalizationMap, first_out_of_range,
+    RAW_MAX, RAW_MIN, FAILURE_TARGET, SUCCESS_TARGET, NormalizationMap, check_finite_number,
+    first_out_of_range,
 )
 from .network import LayerSpec, Network, NetworkConfig, forward
 from .activations import Activation
@@ -33,6 +34,11 @@ class SurrogateRule:
     threshold: float
     failure: float = FAILURE_TARGET
     success: float = SUCCESS_TARGET
+
+    def __post_init__(self):
+        check_finite_number("surrogate threshold", self.threshold)
+        check_finite_number("surrogate failure target", self.failure)
+        check_finite_number("surrogate success target", self.success)
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Feedforward network state, evaluation, loss and analytic gradients.
 
-Everything here is a pure function over immutable-by-convention values:
-no operation mutates a :class:`Network` or :class:`Gradients` in place,
-and identical inputs produce bit-identical outputs.  Batch reductions
-use a fixed summation order, so results are reproducible across runs.
+The public functions are pure over immutable-by-convention values: none
+mutates a :class:`Network` or :class:`Gradients` in place, and identical
+inputs produce bit-identical outputs.  Batch reductions use a fixed
+summation order, so results are reproducible across runs.  Underneath,
+one forward and one backward pass (:class:`_Workspace`) write into
+buffers their caller allocates, so a training run can allocate them once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation
+from .activations import Activation, scratch
 
 
 @dataclass(frozen=True)
@@ -155,13 +157,83 @@ def init_network(config: NetworkConfig) -> Network:
     return Network(config, weights, biases)
 
 
+class _Workspace:
+    """Scratch buffers for one layer stack on batches of ``rows`` rows,
+    allocated once and reused by every pass.
+
+    Layer k owns one :func:`~hrdiag.activations.scratch` triple of shape
+    (rows, neurons).  The forward pass uses it for the transfer function's
+    temporaries and the backward pass for that layer's delta and
+    activation derivative; the output layer's second buffer also holds
+    the squared residuals of the MSE.  Passes run one at a time, so the
+    sharing is safe.  Activation stacks (:meth:`stack`) and residuals
+    belong to the caller, who may keep several.
+    """
+
+    def __init__(self, layers, rows: int):
+        self.layers = layers
+        self.work = [scratch((rows, spec.neurons)) for spec in layers]
+        self.total = np.empty(())
+
+    def stack(self, X: np.ndarray) -> list[np.ndarray]:
+        """An activation stack for the batch inputs ``X``: X itself, then one
+        unfilled (rows, neurons) array per layer."""
+        return [X] + [np.empty((X.shape[0], spec.neurons)) for spec in self.layers]
+
+    def forward(self, weights, biases, acts) -> None:
+        """Fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
+        for k, spec in enumerate(self.layers):
+            z = acts[k + 1]
+            np.matmul(acts[k], weights[k].T, out=z)
+            np.add(z, biases[k], out=z)
+            spec.activation.apply_into(z, self.work[k])
+
+    def score(self, weights, biases, acts, T, residual) -> float:
+        """Forward pass, then the batch MSE against ``T``.  The residual
+        Y - T is left in ``residual`` for :meth:`backward`."""
+        self.forward(weights, biases, acts)
+        squares = self.work[-1][1]
+        np.subtract(acts[-1], T, out=residual)
+        np.square(residual, out=squares)
+        # The same sum and division as np.mean, without its per-call overhead.
+        np.add.reduce(squares, axis=None, out=self.total)
+        return float(self.total) / squares.size
+
+    def backward(self, weights, acts, residual, grad_w, grad_b) -> None:
+        """Write the batch-MSE gradients of every weight and bias into the
+        ``grad_w``/``grad_b`` arrays, given a scored activation stack.
+
+        Standard backpropagation: the output-layer delta is the MSE
+        derivative times the activation derivative (written in the
+        activation output), and deltas chain backwards through the weight
+        matrices.
+        """
+        layers, work = self.layers, self.work
+        delta, deriv, _ = work[-1]
+        np.multiply(residual, 2.0 / residual.size, out=delta)
+        layers[-1].activation.deriv_into(acts[-1], deriv)
+        np.multiply(delta, deriv, out=delta)
+        for k in range(len(layers) - 1, -1, -1):
+            np.matmul(delta.T, acts[k], out=grad_w[k])
+            np.add.reduce(delta, axis=0, out=grad_b[k])
+            if k > 0:
+                below, deriv, _ = work[k - 1]
+                np.matmul(delta, weights[k], out=below)
+                layers[k - 1].activation.deriv_into(acts[k], deriv)
+                np.multiply(below, deriv, out=below)
+                delta = below
+
+
 def _forward_arrays(layers, weights, biases, X: np.ndarray) -> list[np.ndarray]:
-    """All layer activations for a (n, input_dim) batch; entry 0 is X itself."""
-    acts = [X]
-    a = X
-    for W, b, spec in zip(weights, biases, layers):
-        a = spec.activation.apply(a @ W.T + b)
-        acts.append(a)
+    """All layer activations for a (n, input_dim) batch; entry 0 is X itself.
+
+    Overflow in a saturated net is not reported: the caller sees it as a
+    non-finite output, the same way the training step does.
+    """
+    work = _Workspace(layers, X.shape[0])
+    acts = work.stack(X)
+    with np.errstate(all="ignore"):
+        work.forward(weights, biases, acts)
     return acts
 
 
@@ -178,12 +250,6 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError("input contains non-finite values")
     acts = _forward_arrays(net.config.layers, net.weights, net.biases, x[np.newaxis, :])
     return acts[-1][0], [a[0] for a in acts[1:]]
-
-
-def _mse(outputs: np.ndarray, targets: np.ndarray) -> float:
-    # The same sum and division as np.mean, without its per-call overhead.
-    squares = np.square(outputs - targets)
-    return float(squares.sum() / squares.size)
 
 
 def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -210,26 +276,13 @@ def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
     return X, T
 
 
-def _backprop_into(layers, weights, acts, T, grad_w, grad_b) -> None:
-    """Write the batch-MSE gradients of every weight and bias into the
-    ``grad_w``/``grad_b`` arrays, given the forward activations ``acts``.
-
-    Standard backpropagation: the output-layer delta is the MSE derivative
-    times the activation derivative (written in the activation output), and
-    deltas chain backwards through the weight matrices.
-    """
-    delta = (2.0 / T.size) * (acts[-1] - T) * layers[-1].activation.deriv_from_output(acts[-1])
-    for k in range(len(layers) - 1, -1, -1):
-        np.matmul(delta.T, acts[k], out=grad_w[k])
-        delta.sum(axis=0, out=grad_b[k])
-        if k > 0:
-            delta = (delta @ weights[k]) * layers[k - 1].activation.deriv_from_output(acts[k])
-
-
 def backprop_gradients(net: Network, batch) -> tuple[Gradients, float]:
     """Gradients of the batch MSE for every weight and bias, plus that MSE."""
     X, T = as_batch_arrays(batch, net)
-    acts = _forward_arrays(net.config.layers, net.weights, net.biases, X)
+    work = _Workspace(net.config.layers, X.shape[0])
+    acts, residual = work.stack(X), np.empty(T.shape)
     grads = zero_gradients(net)
-    _backprop_into(net.config.layers, net.weights, acts, T, grads.weights, grads.biases)
-    return grads, _mse(acts[-1], T)
+    with np.errstate(all="ignore"):
+        mse = work.score(net.weights, net.biases, acts, T, residual)
+        work.backward(net.weights, acts, residual, grads.weights, grads.biases)
+    return grads, mse

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import check_finite_number
 from .network import (
     Gradients,
     Network,
@@ -39,9 +40,7 @@ from .network import (
     as_batch_arrays,
     backprop_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
     zero_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
-    _backprop_into,
-    _forward_arrays,
-    _mse,
+    _Workspace,
 )
 
 
@@ -67,8 +66,7 @@ class TrainParams:
     def __post_init__(self):
         for name in ("learning_rate", "momentum", "error_goal", "lr_increase",
                      "lr_decrease", "max_error_ratio"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            check_finite_number(name, getattr(self, name))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
@@ -136,9 +134,15 @@ class EpochStep(NamedTuple):
 
 
 def evaluate(net: Network, batch) -> float:
-    """MSE of the network's outputs against the batch targets. No updates."""
+    """MSE of the network's outputs against the batch targets. No updates.
+
+    A saturated net is scored quietly, as in training: overflow shows up
+    as a non-finite or saturated MSE, not as a numpy warning.
+    """
     X, T = as_batch_arrays(batch, net)
-    return _mse(_forward_arrays(net.config.layers, net.weights, net.biases, X)[-1], T)
+    work = _Workspace(net.config.layers, X.shape[0])
+    with np.errstate(all="ignore"):
+        return work.score(net.weights, net.biases, work.stack(X), T, np.empty(T.shape))
 
 
 def _layer_views(flat: np.ndarray, config: NetworkConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -159,6 +163,17 @@ def _flat(weights, biases) -> np.ndarray:
     return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
 
 
+class _State(NamedTuple):
+    """A parameter vector with its per-layer views, and the activation
+    stack and residual of the batch under those parameters."""
+
+    flat: np.ndarray
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    acts: list[np.ndarray]
+    residual: np.ndarray
+
+
 class Trajectory:
     """One deterministic training run, advanced an epoch at a time.
 
@@ -168,13 +183,16 @@ class Trajectory:
     network as of the last epoch run, so a caller can keep the state at
     any epoch without rerunning the prefix.
 
-    The batch is validated once.  Parameters, velocity and
-    gradient live in flat vectors with per-layer views, so the update is
-    a few whole-vector operations on preallocated buffers.  Each epoch
-    runs one forward pass, the candidate's re-scoring; its activations
-    feed the next epoch's gradient if the candidate is accepted, and the
-    current ones are kept if it is rejected, since the network is then
-    unchanged.
+    The batch is validated once, and every array an epoch touches is
+    allocated here, once per run: O(rows x layer widths) floats in all.
+    Two states, current and candidate, each hold a flat parameter vector
+    with per-layer views, an activation stack and the residual Y - T; an
+    accepted candidate swaps the two.  Velocity and gradient are flat
+    vectors too, and the passes share one :class:`_Workspace`.  Each
+    epoch runs one forward pass, the candidate's re-scoring; its
+    activations and residual feed the next epoch's gradient if the
+    candidate is accepted, and the current ones are kept if it is
+    rejected, since the network is then unchanged.
 
     ``velocity``, ``learning_rate`` and ``previous_mse`` set a starting
     state other than a fresh run's (zero velocity, the configured rate,
@@ -192,40 +210,43 @@ class Trajectory:
         self.epoch = 0
         self.stopping_reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
 
-        # Current and candidate parameters, each a flat vector with its
-        # per-layer views; an accepted candidate swaps the two.
+        self._work = _Workspace(net.config.layers, self._X.shape[0])
         p = _flat(net.weights, net.biases)
-        cand = np.empty_like(p)
-        self._cur = (p, *_layer_views(p, net.config))
-        self._next = (cand, *_layer_views(cand, net.config))
+        self._cur = self._state(p)
+        self._next = self._state(np.empty_like(p))
         self._v = (np.zeros_like(p) if velocity is None
                    else _flat(velocity.weights, velocity.biases))
         self._delta, self._g, self._scratch = (np.empty_like(p) for _ in range(3))
         self._grad_w, self._grad_b = _layer_views(self._g, net.config)
-        self._acts = _forward_arrays(net.config.layers, *self._cur[1:], self._X)
+        self._finite = np.empty(p.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            self._score(self._cur)
         self._snapshot: Network | None = net
+
+    def _state(self, flat: np.ndarray) -> _State:
+        return _State(flat, *_layer_views(flat, self._config), self._work.stack(self._X),
+                      np.empty(self._T.shape))
+
+    def _score(self, state: _State) -> float:
+        return self._work.score(state.weights, state.biases, state.acts, self._T, state.residual)
 
     def step(self) -> EpochRecord:
         """Run one full-batch update attempt, ignoring goal and budget."""
         params, lr, previous = self.params, self.learning_rate, self.previous_mse
-        layers = self._config.layers
-        p, cand = self._cur[0], self._next[0]
-        _backprop_into(layers, self._cur[1], self._acts, self._T, self._grad_w, self._grad_b)
+        cur, cand = self._cur, self._next
 
-        # Divergent candidates are caught by the finiteness check below, so
+        # Divergent candidates are caught by the finiteness checks below, so
         # overflow warnings carry no information here.
         with np.errstate(all="ignore"):
+            self._work.backward(cur.weights, cur.acts, cur.residual, self._grad_w, self._grad_b)
             np.multiply(self._v, params.momentum, out=self._delta)
             np.multiply(self._g, lr, out=self._scratch)
             np.subtract(self._delta, self._scratch, out=self._delta)
-            np.add(p, self._delta, out=cand)
+            np.add(cur.flat, self._delta, out=cand.flat)
             # An infinite weight feeding a saturating unit can still give a
             # finite MSE, so the parameters themselves must be checked.
-            if np.isfinite(cand).all():
-                cand_acts = _forward_arrays(layers, *self._next[1:], self._X)
-                cand_mse = _mse(cand_acts[-1], self._T)
-            else:
-                cand_mse = math.nan
+            np.isfinite(cand.flat, out=self._finite)
+            cand_mse = self._score(cand) if self._finite.all() else math.nan
 
         worse_than_allowed = (
             params.adaptive and previous is not None
@@ -240,9 +261,8 @@ class Trajectory:
         else:
             mse = cand_mse
             accepted = True
-            self._cur, self._next = self._next, self._cur
+            self._cur, self._next = cand, cur
             self._v, self._delta = self._delta, self._v
-            self._acts = cand_acts
             self._snapshot = None
             if params.adaptive and previous is not None and cand_mse < previous:
                 self.learning_rate = params.lr_increase * lr
@@ -265,9 +285,9 @@ class Trajectory:
         """The network as of the last epoch run (the start network before
         any epoch); unchanged parameters give back the same object."""
         if self._snapshot is None:
-            _, weights, biases = self._cur
-            self._snapshot = Network(self._config, [W.copy() for W in weights],
-                                     [b.copy() for b in biases])
+            cur = self._cur
+            self._snapshot = Network(self._config, [W.copy() for W in cur.weights],
+                                     [b.copy() for b in cur.biases])
         return self._snapshot
 
     def velocity(self) -> Gradients:

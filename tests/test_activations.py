@@ -7,6 +7,7 @@ from hrdiag.activations import (
     logsig_deriv,
     purelin,
     purelin_deriv,
+    scratch,
     tansig,
     tansig_deriv,
 )
@@ -80,3 +81,19 @@ def test_enum_dispatch_matches_functions():
     assert Activation("purelin") is Activation.PURELIN
     with pytest.raises(ValueError):
         Activation("relu")
+
+
+def test_logsig_matches_where_form_bit_for_bit():
+    # The in-place logsig computes one divide where the textbook stable
+    # form computes two; every bit must agree, signed zero, inf and NaN
+    # included.
+    x = np.array([-np.inf, -1e6, -750.0, -36.0, -1.5, -1e-300, -0.0, 0.0, 1e-300,
+                  0.7, 36.0, 750.0, np.inf, np.nan])
+    x = np.concatenate([x, np.random.default_rng(5).normal(0.0, 8.0, size=2000)])
+    with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(x))
+        reference = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert logsig(x).tobytes() == reference.tobytes()
+    z = x.reshape(-1, 2).copy()
+    Activation.LOGSIG.apply_into(z, scratch(z.shape))
+    assert z.tobytes() == reference.tobytes()

@@ -90,6 +90,15 @@ class TestTrain:
         assert notes == [f"note: {data}: 3 input value(s) below the 1..5 questionnaire "
                          f"scale (accepted; declared range is [-1, 5])"]
 
+    def test_saturated_net_is_scored_quietly(self, capsys):
+        # A huge rate saturates the net; training and the final score run
+        # under the same quiet overflow policy, so nothing reaches stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "train", "--embedded", "--lr", "1e308", "--quiet")
+        assert (code, out, err) == (0, "", "")
+        assert [str(w.message) for w in caught] == []
+
     def test_non_finite_threshold_rejected(self, capsys):
         code, out, err = run(capsys, "train", "--embedded", "--threshold", "nan",
                              "--epochs", "1")

@@ -9,6 +9,7 @@ from hrdiag import (
     Activation,
     DiagnosisLabel,
     LayerSpec,
+    Network,
     NetworkConfig,
     NormalizationMap,
     SurrogateRule,
@@ -122,6 +123,12 @@ class TestLoadValidation:
         ("train_params", "adaptive", "no"),
         ("train_params", "max_epochs", 2.5),
         ("train_params", "max_epochs", True),
+        ("train_params", "learning_rate", True),
+        ("train_params", "momentum", "0.9"),
+        ("surrogate_target_rule", "threshold", "x"),
+        ("surrogate_target_rule", "threshold", math.nan),
+        ("surrogate_target_rule", "failure", None),
+        ("surrogate_target_rule", "success", False),
         ("normalization", "scale", 0.0),
         ("normalization", "scale", math.inf),  # json writes Infinity
         ("normalization", "offset", math.nan),
@@ -159,6 +166,17 @@ class TestDiagnose:
     def test_wrong_dimension_rejected(self, trained_model):
         with pytest.raises(ValueError, match="expected 3"):
             diagnose(trained_model, (1.0, 2.0))
+
+    def test_overflowing_output_is_an_error_without_warnings(self):
+        config = NetworkConfig(3, (LayerSpec(1, Activation.PURELIN),), seed=0)
+        net = Network(config, [np.full((1, 3), 1e308)], [np.zeros(1)])
+        model = model_from_training(net, None, TrainParams(), 0.0, None,
+                                    created_at="2026-08-09T00:00:00Z")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="non-finite output"):
+                diagnose(model, (1.0, 1.0, 1.0))
+        assert [str(w.message) for w in caught] == []
 
     def test_out_of_range_rejected_with_range_named(self, trained_model):
         with pytest.raises(ValueError, match=r"\[-1, 5\]"):

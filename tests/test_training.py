@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from hrdiag import (
     accuracy_from_mse,
     evaluate,
     init_network,
+    Trajectory,
     train,
     train_epoch,
     zero_gradients,
 )
 
 TANSIG = Activation.TANSIG
+LOGSIG = Activation.LOGSIG
 PURELIN = Activation.PURELIN
 
 XOR_BATCH = (
@@ -258,6 +261,137 @@ class TestTrainMatchesHandSteppedEpochs:
         trained, trace = train(net, XOR_BATCH, params(max_epochs=0))
         assert trained is net
         assert trace == hand_stepped(net, XOR_BATCH, params(max_epochs=0))[1]
+
+
+def reference_act(kind, z):
+    """The transfer functions as their docstrings define them, allocating."""
+    if kind is TANSIG:
+        return np.tanh(z)
+    if kind is LOGSIG:
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return z
+
+
+def reference_deriv(kind, o):
+    if kind is TANSIG:
+        return 1.0 - np.square(o)
+    if kind is LOGSIG:
+        return o * (1.0 - o)
+    return np.ones_like(o)
+
+
+def reference_train(net, batch, p):
+    """train() written directly from the formulas in the module docstrings,
+    with a fresh array for every intermediate and a full forward pass at the
+    start of every epoch.  Also counts the epochs whose candidate was
+    non-finite and those rejected for a finite MSE above the allowed ratio."""
+    X, T = batch
+    layers = net.config.layers
+    W, b = list(net.weights), list(net.biases)
+    vW, vb = [np.zeros_like(w) for w in W], [np.zeros_like(c) for c in b]
+
+    def forward(W, b):
+        acts = [X]
+        for Wk, bk, spec in zip(W, b, layers):
+            acts.append(reference_act(spec.activation, acts[-1] @ Wk.T + bk))
+        return acts
+
+    def mse(Y):
+        squares = np.square(Y - T)
+        return float(squares.sum() / squares.size)
+
+    lr, previous, records = p.learning_rate, None, []
+    n_diverged = n_worse = 0
+    reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
+    with np.errstate(all="ignore"):
+        for epoch in range(1, p.max_epochs + 1):
+            acts = forward(W, b)
+            delta = (2.0 / T.size) * (acts[-1] - T) * reference_deriv(layers[-1].activation, acts[-1])
+            gW, gb = [None] * len(layers), [None] * len(layers)
+            for k in range(len(layers) - 1, -1, -1):
+                gW[k], gb[k] = delta.T @ acts[k], delta.sum(axis=0)
+                if k > 0:
+                    delta = (delta @ W[k]) * reference_deriv(layers[k - 1].activation, acts[k])
+            dW = [p.momentum * v - lr * g for v, g in zip(vW, gW)]
+            db = [p.momentum * v - lr * g for v, g in zip(vb, gb)]
+            cW = [w + d for w, d in zip(W, dW)]
+            cb = [c + d for c, d in zip(b, db)]
+            finite = all(np.isfinite(a).all() for a in cW + cb)
+            cand = mse(forward(cW, cb)[-1]) if finite else math.nan
+            next_lr = lr
+            diverged = not math.isfinite(cand)
+            worse = p.adaptive and previous is not None and cand > p.max_error_ratio * previous
+            n_diverged, n_worse = n_diverged + diverged, n_worse + worse
+            if diverged or worse:
+                reported, accepted = (previous if previous is not None else math.inf), False
+                vW, vb = [np.zeros_like(w) for w in W], [np.zeros_like(c) for c in b]
+                next_lr = p.lr_decrease * lr
+            else:
+                reported, accepted = cand, True
+                W, b, vW, vb = cW, cb, dW, db
+                if p.adaptive and previous is not None and cand < previous:
+                    next_lr = p.lr_increase * lr
+            records.append(EpochRecord(epoch, reported, lr, accepted))
+            previous, lr = reported, next_lr
+            if accepted and reported <= p.error_goal:
+                reason = StoppingReason.GOAL_REACHED
+                break
+    return W, b, TrainingTrace(tuple(records), reason), (n_diverged, n_worse)
+
+
+class TestTrainMatchesFormulas:
+    """The in-place epoch kernel against :func:`reference_train`, bit for bit.
+    Between them the nets put each transfer function in a hidden and in the
+    output position."""
+
+    LAYERS = [
+        (LayerSpec(3, TANSIG), LayerSpec(1, LOGSIG)),
+        (LayerSpec(4, LOGSIG), LayerSpec(2, PURELIN)),
+        (LayerSpec(2, PURELIN), LayerSpec(3, LOGSIG), LayerSpec(1, TANSIG)),
+    ]
+
+    @pytest.mark.parametrize("layers", LAYERS, ids=lambda ls: "+".join(s.label for s in ls))
+    @pytest.mark.parametrize("case", ["adaptive", "plain", "divergent"])
+    def test_weights_and_trace(self, layers, case):
+        rng = np.random.default_rng(17)
+        X = rng.uniform(-1.0, 1.0, size=(9, 3))
+        T = rng.uniform(-0.9, 0.9, size=(9, layers[-1].neurons))
+        p = {
+            "adaptive": params(learning_rate=0.05, max_epochs=200),
+            "plain": params(learning_rate=0.05, max_epochs=200, adaptive=False),
+            "divergent": params(learning_rate=1e308, max_epochs=30),
+        }[case]
+        net = init_network(NetworkConfig(3, layers, seed=11))
+        trained, trace = train(net, (X, T), p)
+        W, b, ref_trace, (n_diverged, n_worse) = reference_train(net, (X, T), p)
+        assert trace == ref_trace
+        for got, want in zip(trained.weights + trained.biases, W + b):
+            assert got.tobytes() == want.tobytes()
+        if case == "adaptive":
+            assert n_worse
+        if case == "divergent":
+            assert n_diverged
+
+
+def test_epochs_allocate_no_batch_sized_arrays():
+    # After warm-up an epoch writes only into buffers allocated by the
+    # Trajectory.  The bound is one 20,000 x 1 float64 column.
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, size=(20_000, 3))
+    T = rng.choice([-0.9, 0.9], size=(20_000, 1))
+    config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=2)
+    run = Trajectory(init_network(config), (X, T), params(max_epochs=100))
+    run.step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            run.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 20_000 * 8
 
 
 class TestEvaluate:
