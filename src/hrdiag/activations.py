@@ -33,7 +33,10 @@ def logsig_into(z, work) -> None:
 
     exp() is only taken of non-positive arguments, so extreme inputs
     saturate cleanly instead of overflowing: with e = exp(-|z|) the result
-    is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+    is 1 / (1 + e) for z >= 0 and e / (1 + e) below.  The numerator is the
+    dense select max(e, z >= 0), several times faster than a masked store
+    on large batches and exact: 1 where z >= 0 (-0.0 too), as e <= 1
+    there, and e elsewhere, as e >= 0 (NaN fails the mask; max keeps it).
     """
     e, d, nonneg = work
     np.abs(z, out=e)
@@ -41,7 +44,7 @@ def logsig_into(z, work) -> None:
     np.exp(e, out=e)
     np.add(e, 1.0, out=d)
     np.greater_equal(z, 0.0, out=nonneg)
-    np.copyto(e, 1.0, where=nonneg)
+    np.maximum(e, nonneg, out=e)
     np.divide(e, d, out=z)
 
 

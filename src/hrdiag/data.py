@@ -70,11 +70,10 @@ class NormalizationMap:
     scale: float = 3.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.offset) and math.isfinite(self.scale) and self.scale != 0):
-            raise ValueError(
-                f"normalization needs a finite offset and a finite non-zero scale, "
-                f"got offset {self.offset!r} and scale {self.scale!r}"
-            )
+        check_finite_number("normalization offset", self.offset)
+        check_finite_number("normalization scale", self.scale)
+        if self.scale == 0:
+            raise ValueError(f"normalization scale must be non-zero, got {self.scale!r}")
 
     def apply(self, v):
         """Scale a value or, elementwise, an array of values."""

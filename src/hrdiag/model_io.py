@@ -158,9 +158,13 @@ def load_model(path: str | Path) -> ModelFile:
             None if rule_raw == "external"
             else SurrogateRule(rule_raw["threshold"], rule_raw["failure"], rule_raw["success"])
         )
+        final_mse = raw["final_train_mse"]
+        check_finite_number("final_train_mse", final_mse)
+        if final_mse < 0:
+            raise ValueError(f"final_train_mse must be >= 0, got {final_mse!r}")
         model = ModelFile(
             config, normalization, params, weights, biases,
-            raw["final_train_mse"], rule, raw["created_at"], version,
+            final_mse, rule, raw["created_at"], version,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None

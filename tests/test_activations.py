@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hrdiag.activations import (
     Activation,
@@ -83,6 +86,19 @@ def test_enum_dispatch_matches_functions():
         Activation("relu")
 
 
+def where_logsig(x):
+    """The textbook stable logsig: both branches divided, then selected."""
+    with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def logsig_in_place(x):
+    z = x.copy()
+    Activation.LOGSIG.apply_into(z, scratch(z.shape))
+    return z
+
+
 def test_logsig_matches_where_form_bit_for_bit():
     # The in-place logsig computes one divide where the textbook stable
     # form computes two; every bit must agree, signed zero, inf and NaN
@@ -90,10 +106,21 @@ def test_logsig_matches_where_form_bit_for_bit():
     x = np.array([-np.inf, -1e6, -750.0, -36.0, -1.5, -1e-300, -0.0, 0.0, 1e-300,
                   0.7, 36.0, 750.0, np.inf, np.nan])
     x = np.concatenate([x, np.random.default_rng(5).normal(0.0, 8.0, size=2000)])
-    with np.errstate(all="ignore"):
-        e = np.exp(-np.abs(x))
-        reference = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    reference = where_logsig(x)
     assert logsig(x).tobytes() == reference.tobytes()
-    z = x.reshape(-1, 2).copy()
-    Activation.LOGSIG.apply_into(z, scratch(z.shape))
-    assert z.tobytes() == reference.tobytes()
+    assert logsig_in_place(x.reshape(-1, 2)).tobytes() == reference.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(x=hnp.arrays(np.float64, st.tuples(st.integers(1, 64), st.integers(1, 5)),
+                    elements=st.floats(allow_subnormal=True)))
+def test_logsig_in_place_matches_where_form_on_any_floats(x):
+    # NaN, +-inf, signed zeros and subnormals are all drawn.
+    assert logsig_in_place(x).tobytes() == where_logsig(x).tobytes()
+
+
+def test_logsig_in_place_matches_where_form_on_a_large_mixed_batch():
+    # A 20,000-row 4/logsig hidden layer: the shape the epoch kernel runs
+    # on its largest batches.
+    x = np.random.default_rng(17).normal(0.0, 4.0, size=(20_000, 4))
+    assert logsig_in_place(x).tobytes() == where_logsig(x).tobytes()

@@ -132,13 +132,22 @@ class TestLoadValidation:
         ("normalization", "scale", 0.0),
         ("normalization", "scale", math.inf),  # json writes Infinity
         ("normalization", "offset", math.nan),
+        ("normalization", "offset", "x"),
+        ("normalization", "offset", True),
+        ("normalization", "scale", "x"),
+        ("normalization", "scale", True),
+        (None, "final_train_mse", "x"),
+        (None, "final_train_mse", True),
+        (None, "final_train_mse", -1),
+        (None, "final_train_mse", math.nan),
     ])
     def test_bad_field_fails_with_one_line(self, trained_model, tmp_path, capsys,
                                            section, key, value):
+        # section None names a top-level field.
         path = tmp_path / "model.json"
         save_model(trained_model, path)
         raw = json.loads(path.read_text())
-        raw[section][key] = value
+        (raw if section is None else raw[section])[key] = value
         path.write_text(json.dumps(raw))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
