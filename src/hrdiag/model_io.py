@@ -123,9 +123,20 @@ def save_model(model: ModelFile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(_model_dict(model), indent=2) + "\n", encoding="utf-8")
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """A weight matrix or bias vector from its JSON lists, as floats.  Each
+    cell must be an int or float, not a bool, and rows may not be ragged."""
+    cells = np.asarray(value, dtype=object)
+    if not all(type(c) in (int, float) for c in cells.flat):
+        raise ValueError(f"{name} must be a rectangular array of real numbers")
+    return cells.astype(float)
+
+
 def load_model(path: str | Path) -> ModelFile:
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: model file must hold a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported model schema {version!r}, expected {SCHEMA_VERSION}")
@@ -151,8 +162,8 @@ def load_model(path: str | Path) -> ModelFile:
             max_error_ratio=tp["max_error_ratio"],
             adaptive=tp["adaptive"],
         )
-        weights = [np.asarray(W, dtype=float) for W in raw["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in raw["biases"]]
+        weights = [_real_array(f"weights[{k}]", W) for k, W in enumerate(raw["weights"])]
+        biases = [_real_array(f"biases[{k}]", b) for k, b in enumerate(raw["biases"])]
         rule_raw = raw["surrogate_target_rule"]
         rule = (
             None if rule_raw == "external"

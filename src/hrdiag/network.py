@@ -11,6 +11,7 @@ buffers their caller allocates, so a training run can allocate them once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,9 @@ class LayerSpec:
     activation: Activation
 
     def __post_init__(self):
-        if not isinstance(self.neurons, int) or self.neurons < 1:
+        if isinstance(self.neurons, bool) or not isinstance(self.neurons, int):
+            raise ValueError(f"neuron count must be an integer, got {self.neurons!r}")
+        if self.neurons < 1:
             raise ValueError(f"layer needs at least 1 neuron, got {self.neurons!r}")
 
     @classmethod
@@ -61,8 +64,9 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        if not isinstance(self.input_dim, int) or self.input_dim < 1:
-            raise ValueError(f"input_dim must be a positive integer, got {self.input_dim!r}")
+        dim = self.input_dim
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"input_dim must be a positive integer, got {dim!r}")
         if len(self.layers) == 0:
             raise ValueError("need at least one layer (the output layer)")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
@@ -173,6 +177,13 @@ class _Workspace:
     def __init__(self, layers, rows: int):
         self.layers = layers
         self.work = [scratch((rows, spec.neurons)) for spec in layers]
+        # Bias gradients are delta's column sums.  einsum adds row after
+        # row, as np.add.reduce (axis 0 by default) does for two or more
+        # columns, and is faster on long batches; one column add.reduce
+        # sums pairwise, so one-neuron layers keep it.
+        self.bias_sums = [
+            partial(np.einsum, "ij->j") if spec.neurons > 1 else np.add.reduce for spec in layers
+        ]
         self.total = np.empty(())
 
     def stack(self, X: np.ndarray) -> list[np.ndarray]:
@@ -185,7 +196,8 @@ class _Workspace:
         for k, spec in enumerate(self.layers):
             z = acts[k + 1]
             np.matmul(acts[k], weights[k].T, out=z)
-            np.add(z, biases[k], out=z)
+            # Elementwise, so "F" (rows axis innermost) changes no bit.
+            np.add(z, biases[k], out=z, order="F")
             spec.activation.apply_into(z, self.work[k])
 
     def score(self, weights, biases, acts, T, residual) -> float:
@@ -215,7 +227,7 @@ class _Workspace:
         np.multiply(delta, deriv, out=delta)
         for k in range(len(layers) - 1, -1, -1):
             np.matmul(delta.T, acts[k], out=grad_w[k])
-            np.add.reduce(delta, axis=0, out=grad_b[k])
+            self.bias_sums[k](delta, out=grad_b[k])
             if k > 0:
                 below, deriv, _ = work[k - 1]
                 np.matmul(delta, weights[k], out=below)

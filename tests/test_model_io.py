@@ -44,6 +44,18 @@ def trained_model():
     )
 
 
+def assert_predict_fails_with_one_line(path, capsys, needle):
+    """``predict`` on the model at ``path`` exits 1 with one ``error:``
+    line that contains ``needle``, and warns nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["predict", str(path), "3,3,3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and needle in err, err
+    assert [str(w.message) for w in caught] == []
+
+
 class TestRoundTrip:
     def test_save_load_save_is_byte_identical(self, trained_model, tmp_path):
         first = tmp_path / "model.json"
@@ -149,13 +161,34 @@ class TestLoadValidation:
         raw = json.loads(path.read_text())
         (raw if section is None else raw[section])[key] = value
         path.write_text(json.dumps(raw))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["predict", str(path), "3,3,3"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err, err
-        assert [str(w.message) for w in caught] == []
+        assert_predict_fails_with_one_line(path, capsys, key)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["config"]["layers"][0].update(neurons=True), "neuron count"),
+        (lambda raw: raw["config"]["layers"][1].update(neurons=True), "neuron count"),
+        (lambda raw: raw["config"]["layers"][0].update(neurons=4.0), "neuron count"),
+        (lambda raw: raw["weights"][0][1].__setitem__(2, True), "weights[0]"),
+        (lambda raw: raw["weights"][1][0].__setitem__(0, "x"), "weights[1]"),
+        (lambda raw: raw["weights"][0][3].pop(), "weights[0]"),
+        (lambda raw: raw["biases"][0].__setitem__(3, None), "biases[0]"),
+        (lambda raw: raw["biases"][1].__setitem__(0, False), "biases[1]"),
+        (lambda raw: raw["biases"][0].__setitem__(0, [0.5]), "biases[0]"),
+    ], ids=["neurons-true", "output-neurons-true", "neurons-float", "weight-true", "weight-str",
+            "weight-ragged", "bias-null", "bias-false", "bias-list"])
+    def test_bad_layer_fails_with_one_line(self, trained_model, tmp_path, capsys,
+                                           edit, message):
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        assert_predict_fails_with_one_line(path, capsys, message)
+
+    @pytest.mark.parametrize("text", ["[1]", '"model"', "null", "3"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert_predict_fails_with_one_line(path, capsys, "must hold a JSON object")
 
 
 class TestDiagnose:

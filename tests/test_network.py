@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrdiag import (
     Activation,
@@ -11,6 +13,7 @@ from hrdiag import (
     forward,
     init_network,
 )
+from hrdiag.network import _Workspace
 
 from helpers import fd_gradients, gradient_check, random_batch, random_config
 
@@ -73,6 +76,13 @@ class TestInitNetwork:
             NetworkConfig(3, ())
         with pytest.raises(ValueError):
             LayerSpec(0, TANSIG)
+        with pytest.raises(ValueError, match="input_dim"):
+            NetworkConfig(True, (LayerSpec(1, TANSIG),))
+
+    @pytest.mark.parametrize("neurons", [True, False, 4.0, "4", None])
+    def test_neuron_count_must_be_an_integer(self, neurons):
+        with pytest.raises(ValueError, match="neuron count must be an integer"):
+            LayerSpec(neurons, TANSIG)
 
 
 class TestForward:
@@ -146,6 +156,36 @@ class TestComputeMse:
             evaluate(net, (np.array([[0.0]]), np.array([[0.0], [1.0]])))
         with pytest.raises(ValueError):
             evaluate(net, (np.array([[0.0]]), np.array([[0.0, 1.0]])))
+
+
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.0**-1022, -1e308, 1e308)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 3000),
+    cols=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 1020),
+    specials=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(SPECIAL_VALUES)),
+                      max_size=8),
+)
+def test_bias_gradient_is_the_axis0_reduce_of_delta(rows, cols, seed, spread, specials):
+    # Whichever reducer a layer uses, its bias gradient must be the bytes
+    # np.add.reduce(delta, axis=0) gives: row after row for two or more
+    # columns, pairwise for one.  Exponents span up to +-spread.
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(-spread, spread + 1, size=(rows, cols))
+    residual = np.ldexp(rng.standard_normal((rows, cols)), exponents)
+    for at, value in specials:
+        residual.flat[at % residual.size] = value
+    work = _Workspace((LayerSpec(cols, PURELIN),), rows)
+    acts = [np.ones((rows, 1)), np.zeros((rows, cols))]
+    grad_w, grad_b = [np.empty((cols, 1))], [np.empty(cols)]
+    with np.errstate(all="ignore"):
+        work.backward([np.zeros((cols, 1))], acts, residual, grad_w, grad_b)
+        want = np.add.reduce(work.work[0][0], axis=0)  # the output delta
+    assert grad_b[0].tobytes() == want.tobytes()
 
 
 class TestBackpropGradients:

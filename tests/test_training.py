@@ -352,15 +352,19 @@ class TestTrainMatchesFormulas:
     ]
 
     @pytest.mark.parametrize("layers", LAYERS, ids=lambda ls: "+".join(s.label for s in ls))
-    @pytest.mark.parametrize("case", ["adaptive", "plain", "divergent"])
+    @pytest.mark.parametrize("case", ["adaptive", "plain", "divergent", "wide"])
     def test_weights_and_trace(self, layers, case):
+        # "wide" runs 4,096 rows, where a row-order and a pairwise column sum
+        # differ, so it pins which of the two each layer's bias gradient uses.
+        rows = 4096 if case == "wide" else 9
         rng = np.random.default_rng(17)
-        X = rng.uniform(-1.0, 1.0, size=(9, 3))
-        T = rng.uniform(-0.9, 0.9, size=(9, layers[-1].neurons))
+        X = rng.uniform(-1.0, 1.0, size=(rows, 3))
+        T = rng.uniform(-0.9, 0.9, size=(rows, layers[-1].neurons))
         p = {
             "adaptive": params(learning_rate=0.05, max_epochs=200),
             "plain": params(learning_rate=0.05, max_epochs=200, adaptive=False),
             "divergent": params(learning_rate=1e308, max_epochs=30),
+            "wide": params(learning_rate=0.05, max_epochs=5),
         }[case]
         net = init_network(NetworkConfig(3, layers, seed=11))
         trained, trace = train(net, (X, T), p)
