@@ -7,7 +7,7 @@ adaptive learning rate, architectures are compared via a fixed grid
 sweep, and the trained model labels respondents success or failure.
 """
 
-from .activations import Activation, logsig, purelin, tansig
+from .activations import Activation
 from .data import (
     Dataset,
     NormalizationMap,

@@ -7,7 +7,8 @@ sigmoid, range (0, 1)) and purelin (identity).
 
 Each function and derivative has one implementation, an in-place form
 that writes into buffers the caller owns (the training kernel allocates
-them once per run).  The allocating forms run it on fresh buffers.
+them once per run).  :meth:`Activation.apply` and
+:meth:`Activation.deriv_from_output` run it on fresh buffers.
 """
 
 from __future__ import annotations
@@ -68,43 +69,6 @@ def purelin_deriv_into(output, out) -> None:
     out.fill(1.0)
 
 
-def _applied(fn, x):
-    z = np.array(x, dtype=float)
-    fn(z, scratch(z.shape))
-    return z[()]
-
-
-def _derived(fn, output):
-    output = np.asarray(output, dtype=float)
-    out = np.empty_like(output)
-    fn(output, out)
-    return out[()]
-
-
-def tansig(x):
-    return _applied(tansig_into, x)
-
-
-def logsig(x):
-    return _applied(logsig_into, x)
-
-
-def purelin(x):
-    return _applied(purelin_into, x)
-
-
-def tansig_deriv(output):
-    return _derived(tansig_deriv_into, output)
-
-
-def logsig_deriv(output):
-    return _derived(logsig_deriv_into, output)
-
-
-def purelin_deriv(output):
-    return _derived(purelin_deriv_into, output)
-
-
 class Activation(Enum):
     """Supported transfer functions, keyed by their config-string names."""
 
@@ -113,7 +77,10 @@ class Activation(Enum):
     PURELIN = "purelin"
 
     def apply(self, x):
-        return _applied(_APPLY[self], x)
+        """The transfer function of ``x`` (a value or an array), freshly allocated."""
+        z = np.array(x, dtype=float)
+        self.apply_into(z, scratch(z.shape))
+        return z[()]
 
     def apply_into(self, z, work) -> None:
         """Apply in place to ``z``, using ``work`` from :func:`scratch`."""
@@ -121,7 +88,10 @@ class Activation(Enum):
 
     def deriv_from_output(self, output):
         """Derivative evaluated from the activation output, not the input."""
-        return _derived(_DERIV[self], output)
+        output = np.asarray(output, dtype=float)
+        out = np.empty_like(output)
+        self.deriv_into(output, out)
+        return out[()]
 
     def deriv_into(self, output, out) -> None:
         """:meth:`deriv_from_output` written into ``out``."""

@@ -16,7 +16,7 @@ otherwise.  Every report built on these labels carries a caveat.
 from __future__ import annotations
 
 import csv
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,9 +48,10 @@ Respondents = tuple[np.ndarray, np.ndarray | None]
 
 
 def check_finite_number(name: str, value) -> None:
-    """Reject anything but a finite int or float, naming the field.  A bool
-    is rejected too, although Python counts it as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """Reject anything but an int or float within the finite float range,
+    naming the field: bools, NaN, infinities and huge ints all fail."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

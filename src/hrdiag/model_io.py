@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -57,6 +57,14 @@ class ModelFile:
     created_at: str
     schema_version: int = SCHEMA_VERSION
 
+    def __post_init__(self):
+        check_finite_number("final_train_mse", self.final_train_mse)
+        if self.final_train_mse < 0:
+            raise ValueError(f"final_train_mse must be >= 0, got {self.final_train_mse!r}")
+        if not isinstance(self.created_at, str):
+            raise ValueError(f"created_at must be a string, got {type(self.created_at).__name__}")
+        self.network()  # validates the weight shape chain
+
     def network(self) -> Network:
         return Network(self.config, list(self.weights), list(self.biases))
 
@@ -79,7 +87,8 @@ def model_from_training(
 
 
 def _model_dict(model: ModelFile) -> dict:
-    # Key order is fixed so that save -> load -> save is byte-identical.
+    # Key order is fixed so that save -> load -> save is byte-identical;
+    # a dataclass section's keys are its fields, in declaration order.
     return {
         "schema_version": model.schema_version,
         "created_at": model.created_at,
@@ -91,30 +100,13 @@ def _model_dict(model: ModelFile) -> dict:
                 for spec in model.config.layers
             ],
         },
-        "normalization": (
-            {"offset": model.normalization.offset, "scale": model.normalization.scale}
-            if model.normalization is not None else None
-        ),
-        "train_params": {
-            "learning_rate": model.train_params.learning_rate,
-            "momentum": model.train_params.momentum,
-            "error_goal": model.train_params.error_goal,
-            "max_epochs": model.train_params.max_epochs,
-            "lr_increase": model.train_params.lr_increase,
-            "lr_decrease": model.train_params.lr_decrease,
-            "max_error_ratio": model.train_params.max_error_ratio,
-            "adaptive": model.train_params.adaptive,
-        },
+        "normalization": asdict(model.normalization) if model.normalization is not None else None,
+        "train_params": asdict(model.train_params),
         "weights": [W.tolist() for W in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "final_train_mse": model.final_train_mse,
         "surrogate_target_rule": (
-            {
-                "threshold": model.surrogate_rule.threshold,
-                "failure": model.surrogate_rule.failure,
-                "success": model.surrogate_rule.success,
-            }
-            if model.surrogate_rule is not None else "external"
+            asdict(model.surrogate_rule) if model.surrogate_rule is not None else "external"
         ),
     }
 
@@ -125,62 +117,64 @@ def save_model(model: ModelFile, path: str | Path) -> None:
 
 def _real_array(name: str, value) -> np.ndarray:
     """A weight matrix or bias vector from its JSON lists, as floats.  Each
-    cell must be an int or float, not a bool, and rows may not be ragged."""
+    cell must be a float or an int that a float holds exactly (|n| <= 2**53),
+    not a bool, and rows may not be ragged."""
     cells = np.asarray(value, dtype=object)
-    if not all(type(c) in (int, float) for c in cells.flat):
-        raise ValueError(f"{name} must be a rectangular array of real numbers")
+    if cells.ndim > 2 or not all(type(c) is float or type(c) is int and abs(c) <= 2**53
+                                 for c in cells.flat):
+        raise ValueError(f"{name} must be a rectangular array of floats or integers within 2**53")
     return cells.astype(float)
+
+
+def _object(name: str, value, keys) -> dict:
+    """``value``, which must be a JSON object with exactly the keys ``keys``.
+    :func:`load_model` reports the TypeError as a malformed file."""
+    if not isinstance(value, dict) or value.keys() != set(keys):
+        got = list(value) if isinstance(value, dict) else type(value).__name__
+        raise TypeError(f"{name} must be an object with keys {', '.join(keys)}, got {got}")
+    return value
+
+
+def _section(name: str, value, cls):
+    """``cls`` from a JSON object keyed by its fields; ``cls`` checks the values."""
+    return cls(**_object(name, value, [f.name for f in fields(cls)]))
 
 
 def load_model(path: str | Path) -> ModelFile:
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: model file nests too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: model file must hold a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported model schema {version!r}, expected {SCHEMA_VERSION}")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported schema_version {version!r}, "
+                         f"expected {SCHEMA_VERSION}")
     try:
-        cfg = raw["config"]
-        config = NetworkConfig(
-            cfg["input_dim"],
-            tuple(LayerSpec(l["neurons"], Activation(l["activation"])) for l in cfg["layers"]),
-            seed=cfg["seed"],
-        )
+        _object("the top level", raw, (
+            "schema_version", "created_at", "config", "normalization", "train_params",
+            "weights", "biases", "final_train_mse", "surrogate_target_rule"))
+        cfg = _object("config", raw["config"], ("input_dim", "seed", "layers"))
+        specs = [_object(f"config.layers[{k}]", l, ("neurons", "activation"))
+                 for k, l in enumerate(cfg["layers"])]
+        config = NetworkConfig(cfg["input_dim"], tuple(
+            LayerSpec(s["neurons"], Activation(s["activation"])) for s in specs), cfg["seed"])
         norm = raw["normalization"]
-        normalization = (
-            NormalizationMap(norm["offset"], norm["scale"]) if norm is not None else None
+        rule = raw["surrogate_target_rule"]
+        return ModelFile(
+            config,
+            None if norm is None else _section("normalization", norm, NormalizationMap),
+            _section("train_params", raw["train_params"], TrainParams),
+            [_real_array(f"weights[{k}]", W) for k, W in enumerate(raw["weights"])],
+            [_real_array(f"biases[{k}]", b) for k, b in enumerate(raw["biases"])],
+            raw["final_train_mse"],
+            None if rule == "external" else _section("surrogate_target_rule", rule, SurrogateRule),
+            raw["created_at"], version,
         )
-        tp = raw["train_params"]
-        params = TrainParams(
-            learning_rate=tp["learning_rate"],
-            momentum=tp["momentum"],
-            error_goal=tp["error_goal"],
-            max_epochs=tp["max_epochs"],
-            lr_increase=tp["lr_increase"],
-            lr_decrease=tp["lr_decrease"],
-            max_error_ratio=tp["max_error_ratio"],
-            adaptive=tp["adaptive"],
-        )
-        weights = [_real_array(f"weights[{k}]", W) for k, W in enumerate(raw["weights"])]
-        biases = [_real_array(f"biases[{k}]", b) for k, b in enumerate(raw["biases"])]
-        rule_raw = raw["surrogate_target_rule"]
-        rule = (
-            None if rule_raw == "external"
-            else SurrogateRule(rule_raw["threshold"], rule_raw["failure"], rule_raw["success"])
-        )
-        final_mse = raw["final_train_mse"]
-        check_finite_number("final_train_mse", final_mse)
-        if final_mse < 0:
-            raise ValueError(f"final_train_mse must be >= 0, got {final_mse!r}")
-        model = ModelFile(
-            config, normalization, params, weights, biases,
-            final_mse, rule, raw["created_at"], version,
-        )
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
-    model.network()  # validates the weight shape chain
-    return model
 
 
 class DiagnosisLabel(Enum):

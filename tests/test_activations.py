@@ -6,40 +6,38 @@ from hypothesis.extra import numpy as hnp
 
 from hrdiag.activations import (
     Activation,
-    logsig,
-    logsig_deriv,
-    purelin,
-    purelin_deriv,
+    logsig_deriv_into,
+    logsig_into,
+    purelin_into,
     scratch,
-    tansig,
-    tansig_deriv,
+    tansig_into,
 )
 
 
 def test_known_points():
-    assert tansig(0.0) == 0.0
-    assert logsig(0.0) == 0.5
-    assert purelin(-3.25) == -3.25
-    assert tansig(1.0) == pytest.approx(np.tanh(1.0))
+    assert Activation.TANSIG.apply(0.0) == 0.0
+    assert Activation.LOGSIG.apply(0.0) == 0.5
+    assert Activation.PURELIN.apply(-3.25) == -3.25
+    assert Activation.TANSIG.apply(1.0) == pytest.approx(np.tanh(1.0))
 
 
 def test_tansig_matches_algebraic_form():
     x = np.linspace(-10.0, 10.0, 2001)
     reference = 2.0 / (1.0 + np.exp(-2.0 * x)) - 1.0
-    np.testing.assert_allclose(tansig(x), reference, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(Activation.TANSIG.apply(x), reference, rtol=1e-12, atol=1e-15)
 
 
 def test_logsig_matches_naive_form():
     x = np.linspace(-30.0, 30.0, 2001)
-    np.testing.assert_allclose(logsig(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
+    np.testing.assert_allclose(Activation.LOGSIG.apply(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
 
 
 def test_extreme_inputs_saturate_without_overflow():
     x = np.array([-1e6, -1e3, -750.0, -36.0, 36.0, 750.0, 1e3, 1e6])
     # Underflow to zero is the intended saturation path; anything else is a bug.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        t = tansig(x)
-        s = logsig(x)
+        t = Activation.TANSIG.apply(x)
+        s = Activation.LOGSIG.apply(x)
     assert np.isfinite(t).all() and np.isfinite(s).all()
     assert np.all(t >= -1.0) and np.all(t <= 1.0)
     assert np.all(s >= 0.0) and np.all(s <= 1.0)
@@ -49,8 +47,8 @@ def test_extreme_inputs_saturate_without_overflow():
 def test_outputs_strictly_interior_on_moderate_range():
     rng = np.random.default_rng(7)
     x = rng.uniform(-15.0, 15.0, size=5000)
-    t = tansig(x)
-    s = logsig(x)
+    t = Activation.TANSIG.apply(x)
+    s = Activation.LOGSIG.apply(x)
     assert np.all(t > -1.0) and np.all(t < 1.0)
     assert np.all(s > 0.0) and np.all(s < 1.0)
 
@@ -58,14 +56,20 @@ def test_outputs_strictly_interior_on_moderate_range():
 def test_derivative_identities():
     rng = np.random.default_rng(11)
     x = rng.uniform(-10.0, 10.0, size=1000)
-    t = tansig(x)
-    s = logsig(x)
-    np.testing.assert_allclose(tansig_deriv(t), 1.0 - t**2, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(logsig_deriv(s), s * (1.0 - s), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(purelin_deriv(purelin(x)), np.ones_like(x))
+    t = Activation.TANSIG.apply(x)
+    s = Activation.LOGSIG.apply(x)
+    np.testing.assert_allclose(Activation.TANSIG.deriv_from_output(t), 1.0 - t**2,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Activation.LOGSIG.deriv_from_output(s), s * (1.0 - s),
+                               rtol=0, atol=1e-12)
+    purelin = Activation.PURELIN
+    np.testing.assert_array_equal(purelin.deriv_from_output(purelin.apply(x)), np.ones_like(x))
 
 
-@pytest.mark.parametrize("fn,dfn", [(tansig, tansig_deriv), (logsig, logsig_deriv)])
+@pytest.mark.parametrize("fn,dfn", [
+    (Activation.TANSIG.apply, Activation.TANSIG.deriv_from_output),
+    (Activation.LOGSIG.apply, Activation.LOGSIG.deriv_from_output),
+], ids=["tansig-tansig_deriv", "logsig-logsig_deriv"])
 def test_derivatives_match_finite_differences(fn, dfn):
     rng = np.random.default_rng(13)
     x = rng.uniform(-10.0, 10.0, size=500)
@@ -74,13 +78,22 @@ def test_derivatives_match_finite_differences(fn, dfn):
     np.testing.assert_allclose(dfn(fn(x)), numeric, atol=1e-8)
 
 
+def in_place(fn, x):
+    """``fn`` applied in place to a copy of ``x``."""
+    z = x.copy()
+    fn(z, scratch(z.shape))
+    return z
+
+
 def test_enum_dispatch_matches_functions():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    np.testing.assert_array_equal(Activation.TANSIG.apply(x), tansig(x))
-    np.testing.assert_array_equal(Activation.LOGSIG.apply(x), logsig(x))
-    np.testing.assert_array_equal(Activation.PURELIN.apply(x), purelin(x))
-    o = logsig(x)
-    np.testing.assert_array_equal(Activation.LOGSIG.deriv_from_output(o), logsig_deriv(o))
+    np.testing.assert_array_equal(Activation.TANSIG.apply(x), in_place(tansig_into, x))
+    np.testing.assert_array_equal(Activation.LOGSIG.apply(x), in_place(logsig_into, x))
+    np.testing.assert_array_equal(Activation.PURELIN.apply(x), in_place(purelin_into, x))
+    o = Activation.LOGSIG.apply(x)
+    expected = np.empty_like(o)
+    logsig_deriv_into(o, expected)
+    np.testing.assert_array_equal(Activation.LOGSIG.deriv_from_output(o), expected)
     assert Activation("purelin") is Activation.PURELIN
     with pytest.raises(ValueError):
         Activation("relu")
@@ -107,7 +120,7 @@ def test_logsig_matches_where_form_bit_for_bit():
                   0.7, 36.0, 750.0, np.inf, np.nan])
     x = np.concatenate([x, np.random.default_rng(5).normal(0.0, 8.0, size=2000)])
     reference = where_logsig(x)
-    assert logsig(x).tobytes() == reference.tobytes()
+    assert Activation.LOGSIG.apply(x).tobytes() == reference.tobytes()
     assert logsig_in_place(x.reshape(-1, 2)).tobytes() == reference.tobytes()
 
 

@@ -1,9 +1,13 @@
+import io
 import json
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrdiag import (
     Activation,
@@ -54,6 +58,14 @@ def assert_predict_fails_with_one_line(path, capsys, needle):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:") and needle in err, err
     assert [str(w.message) for w in caught] == []
+
+
+def nested(depth):
+    """A number wrapped in ``depth`` one-element lists."""
+    value = 0.5
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 class TestRoundTrip:
@@ -152,6 +164,15 @@ class TestLoadValidation:
         (None, "final_train_mse", True),
         (None, "final_train_mse", -1),
         (None, "final_train_mse", math.nan),
+        pytest.param("train_params", "learning_rate", 10**400,
+                     id="train_params-learning_rate-huge-int"),
+        pytest.param(None, "final_train_mse", 10**400, id="None-final_train_mse-huge-int"),
+        (None, "schema_version", True),
+        (None, "schema_version", 1.0),
+        pytest.param(None, "created_at", ["2026-08-09T00:00:00Z"], id="None-created_at-list"),
+        (None, "unknown_key", 1),
+        ("train_params", "unknown_key", 1),
+        ("config", "unknown_key", 1),
     ])
     def test_bad_field_fails_with_one_line(self, trained_model, tmp_path, capsys,
                                            section, key, value):
@@ -173,8 +194,13 @@ class TestLoadValidation:
         (lambda raw: raw["biases"][0].__setitem__(3, None), "biases[0]"),
         (lambda raw: raw["biases"][1].__setitem__(0, False), "biases[1]"),
         (lambda raw: raw["biases"][0].__setitem__(0, [0.5]), "biases[0]"),
+        (lambda raw: raw["weights"][0][1].__setitem__(2, 10**400), "weights[0]"),
+        (lambda raw: raw["weights"][1][0].__setitem__(0, 2**53 + 1), "weights[1]"),
+        (lambda raw: raw["weights"].__setitem__(1, nested(40)), "weights[1]"),
+        (lambda raw: raw["config"]["layers"][0].update(unknown_key=1), "config.layers[0]"),
     ], ids=["neurons-true", "output-neurons-true", "neurons-float", "weight-true", "weight-str",
-            "weight-ragged", "bias-null", "bias-false", "bias-list"])
+            "weight-ragged", "bias-null", "bias-false", "bias-list", "weight-huge-int",
+            "weight-inexact-int", "weight-deep", "layer-unknown-key"])
     def test_bad_layer_fails_with_one_line(self, trained_model, tmp_path, capsys,
                                            edit, message):
         path = tmp_path / "model.json"
@@ -183,6 +209,11 @@ class TestLoadValidation:
         edit(raw)
         path.write_text(json.dumps(raw))
         assert_predict_fails_with_one_line(path, capsys, message)
+
+    def test_deep_nesting_fails_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000)
+        assert_predict_fails_with_one_line(path, capsys, "nests too deeply")
 
     @pytest.mark.parametrize("text", ["[1]", '"model"', "null", "3"])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
@@ -234,3 +265,65 @@ class TestDiagnose:
         scaled = [nmap.apply(v) for v in raw]
         out, _ = forward(trained_model.network(), scaled)
         assert diagnose(trained_model, raw).raw_output == float(out[0])
+
+
+# Any JSON value json.dumps can write: NaN and infinities included, and
+# ints too large for a float.  Half the draws are single leaves, which
+# st.recursive alone seldom yields.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+               | st.floats() | st.text(max_size=8))
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=3)),
+    max_leaves=8,
+)
+
+
+def node_paths(node, path=()):
+    """The key path of ``node`` and of every node below it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def model_dir(trained_model, tmp_path_factory):
+    """A directory holding the saved trained model as ``saved.json``."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    save_model(trained_model, directory / "saved.json")
+    return directory
+
+
+class TestLoadProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_mutated_model_loads_whole_or_fails_with_one_line(self, model_dir, data):
+        # One node of a saved model, the root included, becomes any JSON
+        # value.  predict must then exit 0 with a model that re-saves to
+        # exactly the mutated file, or exit 1 with one error line.
+        raw = json.loads((model_dir / "saved.json").read_text())
+        path = data.draw(st.sampled_from(list(node_paths(raw))))
+        value = data.draw(JSON_VALUES)
+        if path:
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            raw = value
+        mutated = model_dir / "mutated.json"
+        mutated.write_text(json.dumps(raw), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["predict", str(mutated), "3,3,3"])
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            save_model(load_model(mutated), model_dir / "resaved.json")
+            assert json.loads((model_dir / "resaved.json").read_text()) == raw
+        else:
+            lines = err.getvalue().splitlines()
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), lines
