@@ -9,7 +9,6 @@ bundled survey data.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -252,26 +251,21 @@ def cmd_score(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hrdiag",
-        description="Train, sweep and apply the HR success/failure diagnostic network.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p) -> None:
+    p.add_argument("--seed", type=int, default=42, help="deterministic seed (default 42)")
+    p.add_argument("--quiet", action="store_true", help="suppress non-error output")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="deterministic seed (default 42)")
-    common.add_argument("--quiet", action="store_true", help="suppress non-error output")
 
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--embedded", action="store_true", help="use the bundled survey tables")
-    source.add_argument("--data", metavar="CSV", help="load patterns from a CSV file")
-    source.add_argument(
-        "--threshold", type=float, default=2.5,
-        help="surrogate success threshold on raw factor means (default 2.5)",
-    )
+def _add_source(p) -> None:
+    _add_common(p)
+    p.add_argument("--embedded", action="store_true", help="use the bundled survey tables")
+    p.add_argument("--data", metavar="CSV", help="load patterns from a CSV file")
+    p.add_argument("--threshold", type=float, default=2.5,
+                   help="surrogate success threshold on raw factor means (default 2.5)")
 
-    p = sub.add_parser("train", parents=[common, source], help="train a diagnostic model")
+
+def _add_train(p) -> None:
+    _add_source(p)
     p.add_argument("--hidden", default="4/logsig",
                    help="comma-separated hidden layers, e.g. '4/logsig' or 'none' (default 4/logsig)")
     p.add_argument("--output-layer", default="1/tansig", help="output layer spec (default 1/tansig)")
@@ -288,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--model-out", metavar="PATH", help="write the trained model as JSON")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common, source], help="evaluate a saved model")
+
+def _add_eval(p) -> None:
+    _add_source(p)
     p.add_argument("model", help="model JSON path")
     p.add_argument("--split", choices=("train", "test"), default="test",
                    help="which bundled split to evaluate (default test)")
@@ -297,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "'error=... no.of epoches=...' trajectory")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", parents=[common, source],
-                       help="run the canonical 15-row architecture grid")
+
+def _add_sweep(p) -> None:
+    _add_source(p)
     p.add_argument("--seeds", metavar="SPEC",
                    help="seed list, e.g. '1..10' or '3,5,8' (default: the --seed value)")
     p.add_argument("--momentum", type=float, default=0.9)
@@ -306,26 +303,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("predict", parents=[common], help="diagnose one respondent")
+
+def _add_predict(p) -> None:
+    _add_common(p)
     p.add_argument("model", help="model JSON path")
     p.add_argument("values", nargs="?",
                    help="three comma-separated raw aggregates, e.g. '3.5,2.0,4.0'")
     p.add_argument("--questionnaire", metavar="CSV", help="score a factor_id,score questionnaire")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("score", parents=[common],
-                       help="aggregate a questionnaire to (x1, x2, x3)")
+
+def _add_score(p) -> None:
+    _add_common(p)
     p.add_argument("questionnaire", help="CSV with header factor_id,score")
     p.set_defaults(func=cmd_score)
 
+
+# Per command, its help line and the function that adds its arguments.
+COMMANDS = {
+    "train": ("train a diagnostic model", _add_train),
+    "eval": ("evaluate a saved model", _add_eval),
+    "sweep": ("run the canonical 15-row architecture grid", _add_sweep),
+    "predict": ("diagnose one respondent", _add_predict),
+    "score": ("aggregate a questionnaire to (x1, x2, x3)", _add_score),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """``command``'s parser alone, or with no command the full parser.  Each
+    adder binds ``func`` as it runs, so a wrapped ``cmd_*`` is the one called."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"hrdiag {command}")
+        COMMANDS[command][1](parser)
+        return parser
+    parser = argparse.ArgumentParser(prog="hrdiag", description=(
+        "Train, sweep and apply the HR success/failure diagnostic network."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add) in COMMANDS.items():
+        add(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # No command, an unknown one, -h or --: the full parser handles them.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

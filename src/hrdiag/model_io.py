@@ -146,6 +146,10 @@ def load_model(path: str | Path) -> ModelFile:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: model file nests too deeply") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: model file is not valid JSON ({exc})") from None
+    except ValueError:  # int() refuses literals longer than sys.get_int_max_str_digits()
+        raise ValueError(f"{path}: model file holds an integer literal too long to read") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: model file must hold a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")

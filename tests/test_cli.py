@@ -1,13 +1,21 @@
+import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from hrdiag import ALL_FACTORS, NetworkConfig, init_network, load_model
-from hrdiag.cli import main
+from hrdiag.cli import COMMANDS, build_parser, main
 from hrdiag.network import LayerSpec
+
+ROOT = Path(__file__).resolve().parent.parent
+TOP_USAGE = "usage: hrdiag [-h] {train,eval,sweep,predict,score} ..."
 
 
 def run(capsys, *argv):
@@ -241,3 +249,53 @@ def test_model_config_matches_flags(model_path):
     model = load_model(model_path)
     assert model.config == NetworkConfig(
         3, (LayerSpec.parse("4/logsig"), LayerSpec.parse("1/tansig")), seed=42)
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_parser_help_matches_subparser(self, command):
+        full = build_parser()
+        sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+        assert build_parser(command).format_help() == sub.choices[command].format_help()
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-command", "unknown-command"])
+    def test_missing_or_unknown_command_exits_2_with_top_level_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith(TOP_USAGE + "\n")
+
+    def test_command_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hrdiag predict ")
+
+    def test_unrecognized_argument_exits_2_with_command_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "m.json", "1,2,3", "--bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hrdiag predict ")
+        assert err.endswith("hrdiag predict: error: unrecognized arguments: --bogus\n")
+
+
+def run_module(*argv):
+    """``python -m hrdiag.cli <argv>`` in a fresh interpreter, so that
+    ``main`` reads its arguments from ``sys.argv``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "hrdiag.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_predict_matches_in_process_main(self, capsys, model_path):
+        proc = run_module("predict", str(model_path), "3,3,3")
+        code, out, _ = run(capsys, "predict", str(model_path), "3,3,3")
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out and proc.stderr == ""
+
+    def test_no_arguments_exits_2_with_top_level_usage(self):
+        proc = run_module()
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith(TOP_USAGE + "\n")

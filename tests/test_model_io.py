@@ -215,6 +215,18 @@ class TestLoadValidation:
         path.write_text("[" * 100_000)
         assert_predict_fails_with_one_line(path, capsys, "nests too deeply")
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"a": 1 2}', "is not valid JSON (Expecting ',' delimiter"),
+        (b'{"a": ' + b"9" * 5000 + b"}", "holds an integer literal too long to read\n"),
+        (b"\xff{}", "is not valid JSON ('utf-8' codec can't decode byte 0xff"),
+    ], ids=["bad-json", "5000-digit-int", "not-utf8"])
+    def test_unreadable_file_fails_with_one_line(self, tmp_path, capsys, content, reason):
+        # The line names the file, and a digit-limit error names the
+        # problem, not the interpreter setting that raises the limit.
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        assert_predict_fails_with_one_line(path, capsys, f"error: {path}: model file {reason}")
+
     @pytest.mark.parametrize("text", ["[1]", '"model"', "null", "3"])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
         path = tmp_path / "model.json"
