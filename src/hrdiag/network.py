@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .activations import Activation, scratch
+from .activations import _APPLY, _DERIV, Activation, scratch
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,17 @@ class _Workspace:
     def __init__(self, layers, rows: int):
         self.layers = layers
         self.work = [scratch((rows, spec.neurons)) for spec in layers]
+        # Each layer's in-place transfer function and derivative, looked up once.
+        self.applies = [_APPLY[spec.activation] for spec in layers]
+        self.derivs = [_DERIV[spec.activation] for spec in layers]
+        # OpenBLAS multiplies a long batch by the strided view W.T ~3x slower
+        # than by a contiguous (fan_in, neurons) copy, which gives the same
+        # bits for two or more rows and neurons.  One-neuron views are already
+        # contiguous, and numpy sends one-row batches down its matrix-vector
+        # path, where the two forms round differently, so both keep the view.
+        # A copy's buffer is allocated by the first pass that needs it.
+        self.copies_weights = [rows > 1 and spec.neurons > 1 for spec in layers]
+        self.weights_t = [None] * len(layers)
         # Bias gradients are delta's column sums.  einsum adds row after
         # row, as np.add.reduce (axis 0 by default) does for two or more
         # columns, and is faster on long batches; one column add.reduce
@@ -193,12 +204,17 @@ class _Workspace:
 
     def forward(self, weights, biases, acts) -> None:
         """Fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
-        for k, spec in enumerate(self.layers):
-            z = acts[k + 1]
-            np.matmul(acts[k], weights[k].T, out=z)
+        for k, apply in enumerate(self.applies):
+            z, W = acts[k + 1], weights[k].T
+            if self.copies_weights[k]:
+                if self.weights_t[k] is None:
+                    self.weights_t[k] = np.empty(W.shape)
+                np.copyto(self.weights_t[k], W)
+                W = self.weights_t[k]
+            np.matmul(acts[k], W, out=z)
             # Elementwise, so "F" (rows axis innermost) changes no bit.
             np.add(z, biases[k], out=z, order="F")
-            spec.activation.apply_into(z, self.work[k])
+            apply(z, self.work[k])
 
     def score(self, weights, biases, acts, T, residual) -> float:
         """Forward pass, then the batch MSE against ``T``.  The residual
@@ -220,18 +236,24 @@ class _Workspace:
         activation output), and deltas chain backwards through the weight
         matrices.
         """
-        layers, work = self.layers, self.work
+        work, derivs = self.work, self.derivs
         delta, deriv, _ = work[-1]
         np.multiply(residual, 2.0 / residual.size, out=delta)
-        layers[-1].activation.deriv_into(acts[-1], deriv)
+        derivs[-1](acts[-1], deriv)
         np.multiply(delta, deriv, out=delta)
-        for k in range(len(layers) - 1, -1, -1):
+        for k in range(len(work) - 1, -1, -1):
             np.matmul(delta.T, acts[k], out=grad_w[k])
             self.bias_sums[k](delta, out=grad_b[k])
             if k > 0:
                 below, deriv, _ = work[k - 1]
-                np.matmul(delta, weights[k], out=below)
-                layers[k - 1].activation.deriv_into(acts[k], deriv)
+                if delta.shape[1] == 1:
+                    # The rank-1 product as a broadcast multiply, which is
+                    # faster; adding 0.0 turns its -0.0 into matmul's +0.0.
+                    np.multiply(delta, weights[k], out=below, order="F")
+                    np.add(below, 0.0, out=below)
+                else:
+                    np.matmul(delta, weights[k], out=below)
+                derivs[k - 1](acts[k], deriv)
                 np.multiply(below, deriv, out=below)
                 delta = below
 

@@ -191,8 +191,8 @@ class Trajectory:
     vectors too, and the passes share one :class:`_Workspace`.  Each
     epoch runs one forward pass, the candidate's re-scoring; its
     activations and residual feed the next epoch's gradient if the
-    candidate is accepted, and the current ones are kept if it is
-    rejected, since the network is then unchanged.
+    candidate is accepted, and the current ones, with their gradient, are
+    kept if it is rejected, since the network is then unchanged.
 
     ``velocity``, ``learning_rate`` and ``previous_mse`` set a starting
     state other than a fresh run's (zero velocity, the configured rate,
@@ -219,6 +219,9 @@ class Trajectory:
         self._delta, self._g, self._scratch = (np.empty_like(p) for _ in range(3))
         self._grad_w, self._grad_b = _layer_views(self._g, net.config)
         self._finite = np.empty(p.shape, dtype=bool)
+        # A rejected epoch leaves the state, and so its gradient ``_g``,
+        # unchanged; the next epoch then skips the backward pass.
+        self._gradient_current = False
         with np.errstate(all="ignore"):
             self._score(self._cur)
         self._snapshot: Network | None = net
@@ -238,7 +241,9 @@ class Trajectory:
         # Divergent candidates are caught by the finiteness checks below, so
         # overflow warnings carry no information here.
         with np.errstate(all="ignore"):
-            self._work.backward(cur.weights, cur.acts, cur.residual, self._grad_w, self._grad_b)
+            if not self._gradient_current:
+                self._work.backward(cur.weights, cur.acts, cur.residual,
+                                    self._grad_w, self._grad_b)
             np.multiply(self._v, params.momentum, out=self._delta)
             np.multiply(self._g, lr, out=self._scratch)
             np.subtract(self._delta, self._scratch, out=self._delta)
@@ -266,6 +271,7 @@ class Trajectory:
             self._snapshot = None
             if params.adaptive and previous is not None and cand_mse < previous:
                 self.learning_rate = params.lr_increase * lr
+        self._gradient_current = not accepted
         self.previous_mse = mse
         return EpochRecord(self.epoch, mse, lr, accepted)
 

@@ -4,6 +4,12 @@ Each digest covers exact outputs (floats as ``repr``): trained weights,
 biases and traces, sweep CSVs, diagnoses and model-file bytes.  Any
 change to a trained number, however small, fails here.  A change that is
 meant to move the numbers must say so and re-pin the digests.
+
+The digests also depend on the BLAS kernel.  They were pinned with
+numpy 2.4's OpenBLAS on its AVX-512 (SkylakeX) kernel; its Haswell and
+Sandybridge kernels, which a machine without AVX-512 gets, round some
+products differently, and six of the seven digests differ there.
+``OPENBLAS_VERBOSE=2`` makes OpenBLAS name the kernel it picked.
 """
 
 import hashlib

@@ -188,6 +188,85 @@ def test_bias_gradient_is_the_axis0_reduce_of_delta(rows, cols, seed, spread, sp
     assert grad_b[0].tobytes() == want.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 3000),
+    cols=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 1020),
+    specials=st.lists(st.tuples(st.booleans(), st.integers(0, 2**31),
+                                st.sampled_from(SPECIAL_VALUES)), max_size=8),
+)
+def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
+    # A one-neuron layer hands its delta back with a broadcast multiply; the
+    # bytes must be those of np.matmul(delta, W), zero signs and NaNs
+    # included.  Purelin below it makes the hand-back the lower delta.
+    rng = np.random.default_rng(seed)
+    residual = np.ldexp(rng.standard_normal((rows, 1)), rng.integers(-spread, spread + 1, (rows, 1)))
+    W = np.ldexp(rng.standard_normal((1, cols)), rng.integers(-spread, spread + 1, (1, cols)))
+    for in_weights, at, value in specials:
+        target = W if in_weights else residual
+        target.flat[at % target.size] = value
+    work = _Workspace((LayerSpec(cols, PURELIN), LayerSpec(1, PURELIN)), rows)
+    acts = [np.ones((rows, 1)), np.zeros((rows, cols)), np.zeros((rows, 1))]
+    grad_w, grad_b = [np.empty((cols, 1)), np.empty((1, cols))], [np.empty(cols), np.empty(1)]
+    with np.errstate(all="ignore"):
+        work.backward([np.zeros((cols, 1)), W], acts, residual, grad_w, grad_b)
+        want = np.matmul(work.work[1][0], W)  # the output delta, handed back
+    assert work.work[0][0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 3000),
+    widths=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+    kinds=st.lists(st.sampled_from(list(Activation)), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 1020),
+    zero_biases=st.sampled_from([None, 0.0, -0.0]),
+    specials=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**31),
+                                st.sampled_from(SPECIAL_VALUES)), max_size=8),
+)
+def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, seed, spread,
+                                                         zero_biases, specials):
+    # The forward pass multiplies long batches by a contiguous copy of W.T
+    # and one-row batches by the view; either way its bytes must be those of
+    # np.matmul(a, W.T), the bias add and Activation.apply, layer by layer.
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return np.ldexp(rng.standard_normal(shape), rng.integers(-spread, spread + 1, shape))
+
+    layers = tuple(LayerSpec(n, kind) for n, kind in zip(widths[1:], kinds))
+    X = draw((rows, widths[0]))
+    weights = [draw((n, fan_in)) for fan_in, n in zip(widths, widths[1:])]
+    biases = [draw(n) if zero_biases is None else np.full(n, zero_biases) for n in widths[1:]]
+    for where, at, value in specials:
+        target = [X, *weights][where % (1 + len(weights))]
+        target.flat[at % target.size] = value
+    work = _Workspace(layers, rows)
+    acts = work.stack(X)
+    exact = True
+    with np.errstate(all="ignore"):
+        work.forward(weights, biases, acts)
+        want = X
+        for got, W, b, spec in zip(acts[1:], weights, biases, layers):
+            a = want[:, np.newaxis, :]
+            products = a * W
+            # Where a product of non-zero factors underflows, or two NaNs
+            # meet in one output, OpenBLAS's AVX-512 kernel gives the copy
+            # another zero sign or NaN sign than the view: from there on,
+            # only the values must agree.
+            underflow = (a != 0) & (W != 0) & (np.abs(products) < np.finfo(float).tiny)
+            nans_meet = (np.isnan(a) & np.isnan(W)).any(axis=2) | (np.isnan(products).sum(axis=2) > 1)
+            exact = exact and not (underflow.any() or nans_meet.any())
+            want = spec.activation.apply(np.matmul(want, W.T) + b)
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_array_equal(got, want)
+
+
 class TestBackpropGradients:
     def test_zero_residual_means_zero_gradients(self):
         config = NetworkConfig(3, (LayerSpec(1, PURELIN),), seed=0)

@@ -352,11 +352,14 @@ class TestTrainMatchesFormulas:
     ]
 
     @pytest.mark.parametrize("layers", LAYERS, ids=lambda ls: "+".join(s.label for s in ls))
-    @pytest.mark.parametrize("case", ["adaptive", "plain", "divergent", "wide"])
+    @pytest.mark.parametrize("case", ["adaptive", "plain", "divergent", "wide", "one-row",
+                                      "two-row"])
     def test_weights_and_trace(self, layers, case):
         # "wide" runs 4,096 rows, where a row-order and a pairwise column sum
         # differ, so it pins which of the two each layer's bias gradient uses.
-        rows = 4096 if case == "wide" else 9
+        # "one-row" is the batch whose forward product keeps the transposed
+        # weights view, "two-row" the shortest that multiplies by a copy.
+        rows = {"wide": 4096, "one-row": 1, "two-row": 2}.get(case, 9)
         rng = np.random.default_rng(17)
         X = rng.uniform(-1.0, 1.0, size=(rows, 3))
         T = rng.uniform(-0.9, 0.9, size=(rows, layers[-1].neurons))
@@ -365,6 +368,8 @@ class TestTrainMatchesFormulas:
             "plain": params(learning_rate=0.05, max_epochs=200, adaptive=False),
             "divergent": params(learning_rate=1e308, max_epochs=30),
             "wide": params(learning_rate=0.05, max_epochs=5),
+            "one-row": params(learning_rate=0.05, max_epochs=200),
+            "two-row": params(learning_rate=0.05, max_epochs=200),
         }[case]
         net = init_network(NetworkConfig(3, layers, seed=11))
         trained, trace = train(net, (X, T), p)
@@ -376,6 +381,23 @@ class TestTrainMatchesFormulas:
             assert n_worse
         if case == "divergent":
             assert n_diverged
+
+
+def test_backward_runs_once_per_epoch_after_an_accepted_one():
+    # A rejected epoch leaves the network, and so its gradient, unchanged:
+    # the next epoch reuses that gradient instead of running backward again.
+    run = Trajectory(init_network(TestTrainMatchesHandSteppedEpochs.CONFIG), XOR_BATCH,
+                     params(learning_rate=3.0, max_epochs=60))
+    backward, calls = run._work.backward, []
+
+    def counted(*args):
+        calls.append(run.epoch + 1)
+        backward(*args)
+
+    run._work.backward = counted
+    records = list(run)
+    assert not all(r.accepted for r in records)
+    assert calls == [1] + [r.epoch + 1 for r in records[:-1] if r.accepted]
 
 
 def test_epochs_allocate_no_batch_sized_arrays():
