@@ -19,8 +19,8 @@ import numpy as np
 
 
 def scratch(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Temporaries for :meth:`Activation.apply_into` on an array of ``shape``:
-    two float64 arrays and a bool mask."""
+    """Temporaries for an in-place transfer function on an array of
+    ``shape``: two float64 arrays and a bool mask."""
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
@@ -79,23 +79,15 @@ class Activation(Enum):
     def apply(self, x):
         """The transfer function of ``x`` (a value or an array), freshly allocated."""
         z = np.array(x, dtype=float)
-        self.apply_into(z, scratch(z.shape))
+        _APPLY[self](z, scratch(z.shape))
         return z[()]
-
-    def apply_into(self, z, work) -> None:
-        """Apply in place to ``z``, using ``work`` from :func:`scratch`."""
-        _APPLY[self](z, work)
 
     def deriv_from_output(self, output):
         """Derivative evaluated from the activation output, not the input."""
         output = np.asarray(output, dtype=float)
         out = np.empty_like(output)
-        self.deriv_into(output, out)
-        return out[()]
-
-    def deriv_into(self, output, out) -> None:
-        """:meth:`deriv_from_output` written into ``out``."""
         _DERIV[self](output, out)
+        return out[()]
 
 
 _APPLY = {

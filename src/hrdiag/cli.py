@@ -35,7 +35,7 @@ from .model_io import (
     model_from_training,
     save_model,
 )
-from .network import LayerSpec, NetworkConfig, _forward_arrays, init_network
+from .network import LayerSpec, NetworkConfig, _score_batch, init_network
 from .sweep import canonical_grid, render_csv, render_table, run_sweep
 from .tables import FACTOR_GROUPS
 from .training import TrainParams, accuracy_from_mse, evaluate, train
@@ -167,8 +167,8 @@ def cmd_eval(args) -> int:
         X = model.normalization.apply(X)
     batch = (X, T)
 
-    mse = evaluate(net, batch)
-    outputs = _forward_arrays(net.config.layers, net.weights, net.biases, X)[-1][:, 0]
+    _, acts, _, mse = _score_batch(net, batch)
+    outputs = acts[-1][:, 0]
     labels = T[:, 0] >= 0
     preds = outputs >= 0
     true_success = int(np.sum(preds & labels))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,6 +139,16 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
         raise ValueError(f"row {row_num}, column '{column}': malformed number {raw!r}") from None
 
 
+@contextmanager
+def _csv_reader(path: Path):
+    """A csv reader streaming a UTF-8 file; decode and csv errors name the path."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_csv(path: str | Path) -> Respondents:
     """Load a respondent set from a CSV file.
 
@@ -150,8 +161,7 @@ def load_csv(path: str | Path) -> Respondents:
     path = Path(path)
     targeted = CSV_COLUMNS + (CSV_TARGET_COLUMN,)
     rows: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = tuple(h.strip() for h in next(reader, ()))
         if header not in (CSV_COLUMNS, targeted):
             raise ValueError(
@@ -246,8 +256,7 @@ def load_questionnaire_csv(path: str | Path) -> QuestionnaireResponse:
     """
     path = Path(path)
     scores: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != ("factor_id", "score"):
             raise ValueError(f"{path}: expected header 'factor_id,score'")

@@ -162,8 +162,8 @@ def init_network(config: NetworkConfig) -> Network:
 
 
 class _Workspace:
-    """Scratch buffers for one layer stack on batches of ``rows`` rows,
-    allocated once and reused by every pass.
+    """Scratch buffers for one network configuration on batches of ``rows``
+    rows, allocated here and reused by every pass.
 
     Layer k owns one :func:`~hrdiag.activations.scratch` triple of shape
     (rows, neurons).  The forward pass uses it for the transfer function's
@@ -174,8 +174,8 @@ class _Workspace:
     belong to the caller, who may keep several.
     """
 
-    def __init__(self, layers, rows: int):
-        self.layers = layers
+    def __init__(self, config: NetworkConfig, rows: int):
+        self.layers = layers = config.layers
         self.work = [scratch((rows, spec.neurons)) for spec in layers]
         # Each layer's in-place transfer function and derivative, looked up once.
         self.applies = [_APPLY[spec.activation] for spec in layers]
@@ -184,10 +184,9 @@ class _Workspace:
         # than by a contiguous (fan_in, neurons) copy, which gives the same
         # bits for two or more rows and neurons.  One-neuron views are already
         # contiguous, and numpy sends one-row batches down its matrix-vector
-        # path, where the two forms round differently, so both keep the view.
-        # A copy's buffer is allocated by the first pass that needs it.
-        self.copies_weights = [rows > 1 and spec.neurons > 1 for spec in layers]
-        self.weights_t = [None] * len(layers)
+        # path, where the two forms round differently: both keep the view (None).
+        self.weights_t = [np.empty((fan_in, spec.neurons)) if rows > 1 and spec.neurons > 1
+                          else None for fan_in, spec in zip(config.fan_ins(), layers)]
         # Bias gradients are delta's column sums.  einsum adds row after
         # row, as np.add.reduce (axis 0 by default) does for two or more
         # columns, and is faster on long batches; one column add.reduce
@@ -205,12 +204,10 @@ class _Workspace:
     def forward(self, weights, biases, acts) -> None:
         """Fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
         for k, apply in enumerate(self.applies):
-            z, W = acts[k + 1], weights[k].T
-            if self.copies_weights[k]:
-                if self.weights_t[k] is None:
-                    self.weights_t[k] = np.empty(W.shape)
-                np.copyto(self.weights_t[k], W)
-                W = self.weights_t[k]
+            z, W, copy = acts[k + 1], weights[k].T, self.weights_t[k]
+            if copy is not None:
+                np.copyto(copy, W)
+                W = copy
             np.matmul(acts[k], W, out=z)
             # Elementwise, so "F" (rows axis innermost) changes no bit.
             np.add(z, biases[k], out=z, order="F")
@@ -258,19 +255,6 @@ class _Workspace:
                 delta = below
 
 
-def _forward_arrays(layers, weights, biases, X: np.ndarray) -> list[np.ndarray]:
-    """All layer activations for a (n, input_dim) batch; entry 0 is X itself.
-
-    Overflow in a saturated net is not reported: the caller sees it as a
-    non-finite output, the same way the training step does.
-    """
-    work = _Workspace(layers, X.shape[0])
-    acts = work.stack(X)
-    with np.errstate(all="ignore"):
-        work.forward(weights, biases, acts)
-    return acts
-
-
 def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate the network on one input vector.
 
@@ -282,7 +266,10 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError(f"input has length {x.size}, expected {net.config.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
-    acts = _forward_arrays(net.config.layers, net.weights, net.biases, x[np.newaxis, :])
+    work = _Workspace(net.config, 1)
+    acts = work.stack(x[np.newaxis, :])
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite output
+        work.forward(net.weights, net.biases, acts)
     return acts[-1][0], [a[0] for a in acts[1:]]
 
 
@@ -310,13 +297,22 @@ def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
     return X, T
 
 
-def backprop_gradients(net: Network, batch) -> tuple[Gradients, float]:
-    """Gradients of the batch MSE for every weight and bias, plus that MSE."""
+def _score_batch(net: Network, batch):
+    """Validate an (X, T) batch and score it in one forward pass, quietly as
+    in training: the workspace, the activation stack (entry 0 is X), the
+    residual Y - T and the batch MSE."""
     X, T = as_batch_arrays(batch, net)
-    work = _Workspace(net.config.layers, X.shape[0])
+    work = _Workspace(net.config, X.shape[0])
     acts, residual = work.stack(X), np.empty(T.shape)
-    grads = zero_gradients(net)
     with np.errstate(all="ignore"):
         mse = work.score(net.weights, net.biases, acts, T, residual)
+    return work, acts, residual, mse
+
+
+def backprop_gradients(net: Network, batch) -> tuple[Gradients, float]:
+    """Gradients of the batch MSE for every weight and bias, plus that MSE."""
+    work, acts, residual, mse = _score_batch(net, batch)
+    grads = zero_gradients(net)
+    with np.errstate(all="ignore"):
         work.backward(net.weights, acts, residual, grads.weights, grads.biases)
     return grads, mse

@@ -61,6 +61,9 @@ class SweepConfig:
             raise ValueError("empty sweep grid")
         if not self.seeds:
             raise ValueError("no seeds given")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed!r}")
 
 
 # The canonical 15-row grid: hidden stacks crossed with epoch budgets,

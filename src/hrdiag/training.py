@@ -40,6 +40,7 @@ from .network import (
     as_batch_arrays,
     backprop_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
     zero_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
+    _score_batch,
     _Workspace,
 )
 
@@ -117,9 +118,6 @@ class TrainingTrace:
     def final_mse(self) -> float | None:
         return self.records[-1].mse if self.records else None
 
-    def accepted_mses(self) -> list[float]:
-        return [r.mse for r in self.records if r.accepted]
-
     def error_lines(self) -> list[str]:
         """Trace formatted as 'error=<mse> no.of epoches=<epoch>' lines."""
         return [f"error={r.mse:.6f} no.of epoches={r.epoch}" for r in self.records]
@@ -139,10 +137,7 @@ def evaluate(net: Network, batch) -> float:
     A saturated net is scored quietly, as in training: overflow shows up
     as a non-finite or saturated MSE, not as a numpy warning.
     """
-    X, T = as_batch_arrays(batch, net)
-    work = _Workspace(net.config.layers, X.shape[0])
-    with np.errstate(all="ignore"):
-        return work.score(net.weights, net.biases, work.stack(X), T, np.empty(T.shape))
+    return _score_batch(net, batch)[-1]
 
 
 def _layer_views(flat: np.ndarray, config: NetworkConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -210,7 +205,7 @@ class Trajectory:
         self.epoch = 0
         self.stopping_reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
 
-        self._work = _Workspace(net.config.layers, self._X.shape[0])
+        self._work = _Workspace(net.config, self._X.shape[0])
         p = _flat(net.weights, net.biases)
         self._cur = self._state(p)
         self._next = self._state(np.empty_like(p))

@@ -138,7 +138,7 @@ def test_criterion_5_validation_trajectory_shape():
         config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=seed)
         trained, _ = train(init_network(config), train_batch, params)
         _, trace = train(trained, test_batch, replace(params, max_epochs=50))
-        accepted = trace.accepted_mses()
+        accepted = [r.mse for r in trace.records if r.accepted]
         non_increasing = all(b <= a for a, b in zip(accepted, accepted[1:]))
         final = trace.final_mse
         if non_increasing and final is not None and final <= 0.015 and len(trace.records) <= 50:

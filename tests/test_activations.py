@@ -108,7 +108,7 @@ def where_logsig(x):
 
 def logsig_in_place(x):
     z = x.copy()
-    Activation.LOGSIG.apply_into(z, scratch(z.shape))
+    logsig_into(z, scratch(z.shape))
     return z
 
 

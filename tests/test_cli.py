@@ -12,7 +12,7 @@ import pytest
 
 from hrdiag import ALL_FACTORS, NetworkConfig, init_network, load_model
 from hrdiag.cli import COMMANDS, build_parser, main
-from hrdiag.network import LayerSpec
+from hrdiag.network import LayerSpec, _Workspace
 
 ROOT = Path(__file__).resolve().parent.parent
 TOP_USAGE = "usage: hrdiag [-h] {train,eval,sweep,predict,score} ..."
@@ -148,6 +148,19 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(model_path), "--data", str(data))
         assert code != 0 and "targets required" in err
 
+    def test_one_forward_pass_gives_mse_and_confusion(self, capsys, model_path, monkeypatch):
+        calls = []
+        forward = _Workspace.forward
+
+        def counted(self, *args):
+            calls.append(args)
+            return forward(self, *args)
+
+        monkeypatch.setattr(_Workspace, "forward", counted)
+        code, out, _ = run(capsys, "eval", str(model_path), "--embedded")
+        assert code == 0 and "test MSE" in out and "confusion" in out
+        assert len(calls) == 1
+
 
 class TestPredict:
     def test_all_fives_is_success(self, capsys, model_path, tmp_path):
@@ -201,6 +214,29 @@ class TestScore:
         assert code != 0 and "communication" in err
 
 
+# Bodies the csv module cannot read: a byte that is not UTF-8, and one cell
+# past its 131,072-character field limit.
+UNREADABLE_CSV = {"non-utf8": b"\xff,1\n", "huge-cell": b"1," + b"1" * 131_073 + b"\n"}
+
+
+@pytest.mark.parametrize("body", UNREADABLE_CSV.values(), ids=UNREADABLE_CSV)
+@pytest.mark.parametrize("command", ["train", "predict", "score"])
+def test_unreadable_csv_gives_one_error_line_naming_the_file(capsys, model_path, tmp_path,
+                                                             command, body):
+    path = tmp_path / "unreadable.csv"
+    header = b"strategic,tactical,operational\n" if command == "train" else b"factor_id,score\n"
+    path.write_bytes(header + body)
+    argv = {
+        "train": ["train", "--data", str(path)],
+        "predict": ["predict", str(model_path), "--questionnaire", str(path)],
+        "score": ["score", str(path)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
 class TestSweep:
     def test_default_run_prints_15_rows(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -224,6 +260,13 @@ class TestSweep:
             per_seed = [float(v) for v in r["mse_per_seed"].split(";")]
             assert len(per_seed) == 2
             assert float(r["mse_mean"]) == pytest.approx(sum(per_seed) / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("seeds, bad", [(("--seed", "-1"), -1), (("--seeds=-2..-1",), -2),
+                                            (("--seeds", "3,-1"), -1)], ids=["seed", "range", "list"])
+    def test_negative_seed_rejected(self, capsys, seeds, bad):
+        code, out, err = run(capsys, "sweep", *seeds)
+        assert code == 1 and out == ""
+        assert err == f"error: seed must be non-negative, got {bad}\n"
 
 
 class TestParsingHelpers:

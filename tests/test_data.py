@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrdiag import (
@@ -264,6 +264,31 @@ class TestLoadCsvProperties:
         with pytest.raises(ValueError) as exc:
             load_csv(csv_path)
         assert str(exc.value) == expected
+
+
+HUGE_CELL = b"1" * 131_073  # one past the csv module's field limit
+
+# Header lines and byte runs the csv reader and the UTF-8 decoder trip on.
+CSV_PIECES = [b"strategic,tactical,operational", b"factor_id,score", b"leadership", b"1",
+              b"2.5", b",", b"\n", b"\r\n", b'"', b'""', b"\x00", b"\xff", b"\xc3", b"\xe9",
+              HUGE_CELL]
+
+
+@settings(deadline=None, max_examples=150)
+@given(content=st.one_of(st.binary(max_size=64),
+                         st.lists(st.sampled_from(CSV_PIECES), max_size=12).map(b"".join)))
+@example(content=b"strategic,tactical,operational\n1,1," + HUGE_CELL + b"\n")
+@example(content=b"factor_id,score\nleadership," + HUGE_CELL + b"\n")
+@example(content=b"factor_id,score\n\xff,1\n")
+def test_csv_loaders_read_any_bytes_or_raise_value_error(csv_path, content):
+    # Whatever the bytes, each loader returns or raises ValueError, never
+    # csv.Error or another exception a caller does not expect.
+    csv_path.write_bytes(content)
+    for load in (load_csv, load_questionnaire_csv):
+        try:
+            load(csv_path)
+        except ValueError:
+            pass
 
 
 class TestNormalization:

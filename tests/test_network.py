@@ -179,7 +179,7 @@ def test_bias_gradient_is_the_axis0_reduce_of_delta(rows, cols, seed, spread, sp
     residual = np.ldexp(rng.standard_normal((rows, cols)), exponents)
     for at, value in specials:
         residual.flat[at % residual.size] = value
-    work = _Workspace((LayerSpec(cols, PURELIN),), rows)
+    work = _Workspace(NetworkConfig(1, (LayerSpec(cols, PURELIN),)), rows)
     acts = [np.ones((rows, 1)), np.zeros((rows, cols))]
     grad_w, grad_b = [np.empty((cols, 1))], [np.empty(cols)]
     with np.errstate(all="ignore"):
@@ -207,7 +207,7 @@ def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
     for in_weights, at, value in specials:
         target = W if in_weights else residual
         target.flat[at % target.size] = value
-    work = _Workspace((LayerSpec(cols, PURELIN), LayerSpec(1, PURELIN)), rows)
+    work = _Workspace(NetworkConfig(1, (LayerSpec(cols, PURELIN), LayerSpec(1, PURELIN))), rows)
     acts = [np.ones((rows, 1)), np.zeros((rows, cols)), np.zeros((rows, 1))]
     grad_w, grad_b = [np.empty((cols, 1)), np.empty((1, cols))], [np.empty(cols), np.empty(1)]
     with np.errstate(all="ignore"):
@@ -244,7 +244,7 @@ def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, se
     for where, at, value in specials:
         target = [X, *weights][where % (1 + len(weights))]
         target.flat[at % target.size] = value
-    work = _Workspace(layers, rows)
+    work = _Workspace(NetworkConfig(widths[0], layers), rows)
     acts = work.stack(X)
     exact = True
     with np.errstate(all="ignore"):

@@ -176,7 +176,7 @@ class TestTrain:
         records = trace.records
         assert [r.epoch for r in records] == list(range(1, len(records) + 1))
         # accepted mse sequence never worsens beyond the allowed ratio
-        accepted = trace.accepted_mses()
+        accepted = [r.mse for r in trace.records if r.accepted]
         assert all(b <= p.max_error_ratio * a for a, b in zip(accepted, accepted[1:]))
         # learning rate moves by exactly the configured factors
         for prev, cur in zip(records, records[1:]):
