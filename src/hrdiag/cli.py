@@ -60,14 +60,14 @@ def _parse_hidden(text: str) -> tuple[LayerSpec, ...]:
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """Seed list syntax: '7', '1,2,5' or an inclusive range '1..10'."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise ValueError(f"bad seed range {text!r}")
-        return tuple(range(start, stop + 1))
-    return tuple(int(part) for part in text.split(","))
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = tuple(range(int(lo), int(hi) + 1)) if dots else tuple(map(int, text.split(",")))
+    except ValueError:
+        seeds = ()
+    if not seeds:
+        raise ValueError(f"--seeds must be N, N,M,... or A..B with A <= B, got {text!r}")
+    return seeds
 
 
 def _require_one_source(args) -> None:

@@ -40,6 +40,7 @@ FAILURE_TARGET = -0.9
 
 CSV_COLUMNS = ("strategic", "tactical", "operational")
 CSV_TARGET_COLUMN = "target"
+_CSV_TARGETED = CSV_COLUMNS + (CSV_TARGET_COLUMN,)
 
 # Per-column bounds of a targeted CSV row; an input-only row uses the first three.
 _CSV_LOW = (RAW_MIN, RAW_MIN, RAW_MIN, TARGET_MIN)
@@ -141,12 +142,54 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
 
 @contextmanager
 def _csv_reader(path: Path):
-    """A csv reader streaming a UTF-8 file; decode and csv errors name the path."""
+    """A csv reader streaming a UTF-8 file; its errors name the path, and decode errors the line."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
-    except (csv.Error, UnicodeDecodeError) as exc:
+            reader = csv.reader(fh)
+            yield reader
+    except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # exc.start counts from the decoder's chunk
+        done = exc.object[:exc.start]
+        line = reader.line_num + 1 + done.count(b"\n") + done.count(b"\r") - done.count(b"\r\n")
+        raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+
+
+def _loadtxt_cells(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and cells of a well-formed respondent CSV in one np.loadtxt pass,
+    else ValueError or csv.Error.  loadtxt rejects ``1_0``, Unicode digits,
+    quoted cells and lone ``\\r`` line ends, which float() or the csv reader
+    accept, but skips blank lines, parses cells past the csv field limit and
+    strips \\x1c-\\x1f around a number, which float() rejects."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = tuple(h.strip() for h in next(csv.reader(fh), ()))
+        body = fh.read()
+    lines = body.removesuffix("\n").split("\n")
+    if (header not in (CSV_COLUMNS, _CSV_TARGETED) or "" in lines or "\r" in lines
+            or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
+            or max(map(len, lines)) > csv.field_size_limit()):
+        raise ValueError("not a plain respondent file")
+    cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if cells.shape[1] != len(header):
+        raise ValueError("column count differs from the header")
+    return header, cells
+
+
+def _csv_rows(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and cells by the csv reader and float(), row by row, or the error."""
+    rows: list[list[float]] = []
+    with _csv_reader(path) as reader:
+        header = tuple(h.strip() for h in next(reader, ()))
+        if header not in (CSV_COLUMNS, _CSV_TARGETED):
+            raise ValueError(
+                f"{path}: bad header {','.join(header)!r}, expected "
+                f"{','.join(CSV_COLUMNS)} or {','.join(_CSV_TARGETED)}"
+            )
+        for row_num, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"row {row_num}: expected {len(header)} columns, found {len(row)}")
+            rows.append([_parse_cell(raw, row_num, column) for column, raw in zip(header, row)])
+    return header, np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def load_csv(path: str | Path) -> Respondents:
@@ -159,21 +202,11 @@ def load_csv(path: str | Path) -> Respondents:
     any range is checked, so a malformed cell is reported first.
     """
     path = Path(path)
-    targeted = CSV_COLUMNS + (CSV_TARGET_COLUMN,)
-    rows: list[list[float]] = []
-    with _csv_reader(path) as reader:
-        header = tuple(h.strip() for h in next(reader, ()))
-        if header not in (CSV_COLUMNS, targeted):
-            raise ValueError(
-                f"{path}: bad header {','.join(header)!r}, expected "
-                f"{','.join(CSV_COLUMNS)} or {','.join(targeted)}"
-            )
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"row {row_num}: expected {len(header)} columns, found {len(row)}")
-            rows.append([_parse_cell(raw, row_num, column) for column, raw in zip(header, row)])
+    try:
+        header, cells = _loadtxt_cells(path)
+    except (csv.Error, ValueError):
+        header, cells = _csv_rows(path)
     ncols = len(header)
-    cells = np.array(rows, dtype=float).reshape(-1, ncols)
     lo, hi = _CSV_LOW[:ncols], _CSV_HIGH[:ncols]
     bad = first_out_of_range(cells, lo, hi)
     if bad is not None:
@@ -184,7 +217,7 @@ def load_csv(path: str | Path) -> Respondents:
         )
     # Contiguous like every other batch; products on strided views may round differently.
     X = np.ascontiguousarray(cells[:, :3])
-    return X, (np.ascontiguousarray(cells[:, 3:]) if header == targeted else None)
+    return X, (np.ascontiguousarray(cells[:, 3:]) if header == _CSV_TARGETED else None)
 
 
 def normalize(respondents: Respondents) -> tuple[Respondents, NormalizationMap]:

@@ -77,6 +77,11 @@ class TestTrain:
         assert code == 0
         assert "training patterns: 14" in out
 
+    def test_header_only_csv_is_an_empty_batch(self, capsys, tmp_path):
+        data = tmp_path / "empty.csv"
+        data.write_text("strategic,tactical,operational\n", encoding="utf-8")
+        assert run(capsys, "train", "--data", str(data)) == (1, "", "error: empty batch\n")
+
     def test_no_source_is_an_error(self, capsys):
         code, _, err = run(capsys, "train")
         assert code != 0 and "no data source" in err
@@ -267,6 +272,12 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", *seeds)
         assert code == 1 and out == ""
         assert err == f"error: seed must be non-negative, got {bad}\n"
+
+    @pytest.mark.parametrize("spec", ["1.5", "1..3..5", "9..1"])
+    def test_bad_seed_spec_names_the_flag_and_its_syntax(self, capsys, spec):
+        code, out, err = run(capsys, "sweep", "--seeds", spec)
+        assert code == 1 and out == ""
+        assert err == f"error: --seeds must be N, N,M,... or A..B with A <= B, got {spec!r}\n"
 
 
 class TestParsingHelpers:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hrdiag import (
     prepared_embedded,
     split_70_30,
 )
+from hrdiag import data
 
 
 def questionnaire(default=3.0, **overrides):
@@ -202,6 +204,22 @@ class TestLoadCsv:
         assert X.tolist() == [[0.5, 2.0, 3.0]]
         assert len(recwarn) == 0
 
+    def test_header_only_file_is_an_empty_set(self, tmp_path, recwarn):
+        for text in ("strategic,tactical,operational\n", "strategic,tactical,operational"):
+            X, T = load_csv(self.write(tmp_path, text))
+            assert X.dtype == np.float64 and X.shape == (0, 3) and T is None
+        assert len(recwarn) == 0
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        # Past the decoder's first chunks, so a chunk-relative offset would not do.
+        rows = ["1.25,2.5,3.75"] * 1500
+        text = "\n".join(["strategic,tactical,operational"] + rows) + "\n"
+        path = tmp_path / "late.csv"
+        path.write_bytes(text.encode("utf-8") + b"1,\xff,1\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: line 1502: not UTF-8 (invalid start byte)"
+
 
 IN_RANGE = {"input": st.floats(-1.0, 5.0), "target": st.floats(-1.0, 1.0)}
 OUT_OF_RANGE = {
@@ -289,6 +307,96 @@ def test_csv_loaders_read_any_bytes_or_raise_value_error(csv_path, content):
             load(csv_path)
         except ValueError:
             pass
+
+
+def format_number(value, style, digits):
+    return repr(value) if style == "r" else f"{value:.{digits}{style}}"
+
+
+# Cell texts np.loadtxt and float() both read: repr'd, %.Nf and %.Ne numbers,
+# in and out of range, and the spellings of infinity and NaN.
+NUMBER_TEXTS = st.builds(format_number,
+                         st.floats(-2.0, 6.0) | st.sampled_from([math.inf, -math.inf, math.nan]),
+                         st.sampled_from("rfe"), st.integers(0, 17)) \
+    | st.sampled_from(["Infinity", "-Infinity", "nan", "-nan", "+inf"])
+# Cells the two readers may disagree on: ones only float() reads or neither
+# does, whitespace around a number (loadtxt also strips \x1c-\x1f, which
+# float() rejects), and cells past the csv field limit, one in range once parsed.
+ODD_CELLS = ["1_0", "\u0661", '"1"', '"2.5"', "\x0b3", "3\x0c", " 4 ", "\xa04\u2028", "", " ",
+             "\x1c3", "3\x1f", HUGE_CELL.decode(), "0" * len(HUGE_CELL)]
+BLANK_LINES = ["", " ", "\t"]
+# Headers to swap in: either kind, one the csv reader and strip() accept, one wrong.
+HEADERS = [["strategic", "tactical", "operational"],
+           ["strategic", "tactical", "operational", "target"],
+           ['"strategic"', " tactical", "operational "], ["Strategic", "tactical", "operational"]]
+
+
+@st.composite
+def respondent_texts(draw):
+    """Respondent CSV text, and whether it is plain: at least one row, only
+    NUMBER_TEXTS cells, the header's column count, \\n or \\r\\n line ends."""
+    header = ["strategic", "tactical", "operational"] + ["target"] * draw(st.booleans())
+    rows = draw(st.lists(st.lists(NUMBER_TEXTS, min_size=len(header), max_size=len(header)),
+                         max_size=6))
+    lines = [header] + rows
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    edits = draw(st.lists(st.sampled_from(["cell", "blank", "cr", "short", "header"]),
+                          max_size=3))
+    for edit in edits:
+        i = draw(st.integers(1, len(lines)))
+        if edit == "header":
+            lines[0] = draw(st.sampled_from(HEADERS))
+        elif edit == "blank":
+            lines.insert(i, [draw(st.sampled_from(BLANK_LINES))])
+            ends.insert(i, draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        elif edit == "cr":
+            ends[i - 1] = "\r"
+        elif i < len(lines) and lines[i]:
+            row = lines[i]
+            if edit == "short":
+                row.pop()
+            else:
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+    text = "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final line end
+    return text, bool(rows) and not edits
+
+
+def load_outcome(path):
+    """What load_csv gives: each array's dtype, shape, layout and bytes, or
+    the ValueError message."""
+    try:
+        arrays = load_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return [None if a is None else (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in arrays]
+
+
+@settings(deadline=None, max_examples=120)
+@given(generated=respondent_texts())
+@example(generated=("strategic,tactical,operational\n1,2,3\n\n", False))
+@example(generated=("strategic,tactical,operational\n1,2,3\r4,5,1\n\n", False))
+@example(generated=("strategic,tactical,operational\r\n1,2,3\r\n\r\n", False))
+@example(generated=("strategic,tactical,operational\n\n", False))
+@example(generated=("strategic,tactical,operational\n1,2," + "0" * 131_073 + "\n", False))
+@example(generated=("strategic,tactical,operational\n1,2,1_0\n", False))
+@example(generated=("Strategic,tactical,operational\n1,2,3\n", False))
+@example(generated=("strategic,tactical,operational,target\n1,2,3\n", False))
+@example(generated=("strategic,tactical,operational\n1,2,\x1c3\n", False))
+def test_loadtxt_pass_matches_row_reader(csv_path, generated):
+    # Whatever the text, load_csv gives the same X and T, bytes and layout
+    # included, or the same message, as when the loadtxt pass refuses every
+    # file and the row-by-row reader reads them all.  A plain file must not
+    # need the row reader.
+    text, plain = generated
+    csv_path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(data, "_loadtxt_cells", side_effect=ValueError):
+        by_rows = load_outcome(csv_path)
+    assert load_outcome(csv_path) == by_rows
+    if plain:
+        data._loadtxt_cells(csv_path)
 
 
 class TestNormalization:
