@@ -161,7 +161,7 @@ def _load_eval_set(args, model) -> tuple[tuple, bool]:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    net = model.network()
+    net = model.network
     (X, T), used_surrogate = _load_eval_set(args, model)
     if model.normalization is not None:
         X = model.normalization.apply(X)
@@ -219,10 +219,9 @@ def cmd_predict(args) -> int:
         _say(args, f"aggregates: x1={values[0]:.3f} x2={values[1]:.3f} x3={values[2]:.3f}")
     else:
         parts = args.values.split(",")
-        if len(parts) != model.config.input_dim:
-            raise ValueError(
-                f"expected {model.config.input_dim} comma-separated values, got {len(parts)}"
-            )
+        input_dim = model.network.config.input_dim
+        if len(parts) != input_dim:
+            raise ValueError(f"expected {input_dim} comma-separated values, got {len(parts)}")
         try:
             values = tuple(float(p) for p in parts)
         except ValueError:

@@ -149,10 +149,15 @@ def _csv_reader(path: Path):
             yield reader
     except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # exc.start counts from the decoder's chunk
-        done = exc.object[:exc.start]
-        line = reader.line_num + 1 + done.count(b"\n") + done.count(b"\r") - done.count(b"\r\n")
-        raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+    except UnicodeDecodeError:  # its offset counts from the decoder's chunk, so decode it all
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            done = data[:exc.start]
+            line = 1 + done.count(b"\n") + done.count(b"\r") - done.count(b"\r\n")
+            raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+        raise  # the file was rewritten after the failed read
 
 
 def _loadtxt_cells(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -257,6 +262,8 @@ def split_70_30(respondents: Respondents, seed: int) -> tuple[Respondents, Respo
     n = X.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 respondents to split, got {n}")
+    if seed < 0:  # default_rng's own message does not name the seed
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     order = np.random.default_rng(seed).permutation(n)
     cut = (7 * n + 9) // 10  # ceil(0.7 n) in exact integer arithmetic
     train, test = order[:cut], order[cut:]

@@ -43,15 +43,13 @@ class SurrogateRule:
 
 @dataclass
 class ModelFile:
-    """Everything needed to reproduce predictions: architecture, weights,
+    """Everything needed to reproduce predictions: the trained network,
     input normalization, training setup and provenance of the targets
     (a surrogate rule, or None for externally supplied labels)."""
 
-    config: NetworkConfig
+    network: Network
     normalization: NormalizationMap | None
     train_params: TrainParams
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
     final_train_mse: float
     surrogate_rule: SurrogateRule | None
     created_at: str
@@ -63,10 +61,6 @@ class ModelFile:
             raise ValueError(f"final_train_mse must be >= 0, got {self.final_train_mse!r}")
         if not isinstance(self.created_at, str):
             raise ValueError(f"created_at must be a string, got {type(self.created_at).__name__}")
-        self.network()  # validates the weight shape chain
-
-    def network(self) -> Network:
-        return Network(self.config, list(self.weights), list(self.biases))
 
 
 def model_from_training(
@@ -79,31 +73,28 @@ def model_from_training(
 ) -> ModelFile:
     if created_at is None:
         created_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return ModelFile(
-        net.config, normalization, params,
-        list(net.weights), list(net.biases),
-        final_train_mse, surrogate_rule, created_at,
-    )
+    return ModelFile(net, normalization, params, final_train_mse, surrogate_rule, created_at)
 
 
 def _model_dict(model: ModelFile) -> dict:
     # Key order is fixed so that save -> load -> save is byte-identical;
     # a dataclass section's keys are its fields, in declaration order.
+    net = model.network
     return {
         "schema_version": model.schema_version,
         "created_at": model.created_at,
         "config": {
-            "input_dim": model.config.input_dim,
-            "seed": model.config.seed,
+            "input_dim": net.config.input_dim,
+            "seed": net.config.seed,
             "layers": [
                 {"neurons": spec.neurons, "activation": spec.activation.value}
-                for spec in model.config.layers
+                for spec in net.config.layers
             ],
         },
         "normalization": asdict(model.normalization) if model.normalization is not None else None,
         "train_params": asdict(model.train_params),
-        "weights": [W.tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "weights": [W.tolist() for W in net.weights],
+        "biases": [b.tolist() for b in net.biases],
         "final_train_mse": model.final_train_mse,
         "surrogate_target_rule": (
             asdict(model.surrogate_rule) if model.surrogate_rule is not None else "external"
@@ -168,11 +159,11 @@ def load_model(path: str | Path) -> ModelFile:
         norm = raw["normalization"]
         rule = raw["surrogate_target_rule"]
         return ModelFile(
-            config,
+            Network(config,  # checks that the weight shapes chain
+                    [_real_array(f"weights[{k}]", W) for k, W in enumerate(raw["weights"])],
+                    [_real_array(f"biases[{k}]", b) for k, b in enumerate(raw["biases"])]),
             None if norm is None else _section("normalization", norm, NormalizationMap),
             _section("train_params", raw["train_params"], TrainParams),
-            [_real_array(f"weights[{k}]", W) for k, W in enumerate(raw["weights"])],
-            [_real_array(f"biases[{k}]", b) for k, b in enumerate(raw["biases"])],
             raw["final_train_mse"],
             None if rule == "external" else _section("surrogate_target_rule", rule, SurrogateRule),
             raw["created_at"], version,
@@ -212,7 +203,7 @@ def diagnose(model: ModelFile, raw_inputs) -> Diagnosis:
         if bad is not None:
             raise ValueError(f"input value {values[bad]:g} outside [{RAW_MIN:g}, {RAW_MAX:g}]")
         values = model.normalization.apply(values)
-    output, _ = forward(model.network(), values)
+    output, _ = forward(model.network, values)
     raw = float(output[0])
     if not math.isfinite(raw):
         raise ValueError("model produced a non-finite output")

@@ -6,12 +6,12 @@ with per-seed final training MSE plus mean/min statistics, because a
 single unseeded run is not reproducible.  Test MSE is reported alongside
 for honesty even though the grid ranks rows by training MSE.
 
-Rows that share a hidden stack, error goal and learning rate form a
-family: they differ only in epoch budget, so per seed each is a prefix
-of one deterministic trajectory.  The sweep trains each family once per
-seed, up to its largest budget, and takes every row's result from that
-trajectory as it passes the row's budget.  The results are bit-identical
-to training each row separately.
+Every row trains with the error goal and learning rate of the sweep's
+one :class:`TrainParams`, so rows that share a hidden stack form a
+family: per seed, each is a prefix of one deterministic trajectory.  The
+sweep trains each family once per seed, up to its largest budget, and
+takes every row's result from that trajectory as it passes the row's
+budget.  The results are bit-identical to training each row separately.
 """
 
 from __future__ import annotations
@@ -27,32 +27,27 @@ from .network import LayerSpec, NetworkConfig, init_network
 from .training import StoppingReason, TrainParams, accuracy_from_mse, evaluate, train
 
 
+# The output layer every grid row's hidden stack feeds.
+OUTPUT_LAYER = LayerSpec(1, Activation.TANSIG)
+
+
 @dataclass(frozen=True)
 class GridRow:
-    """One grid cell: hidden layers (possibly none) plus the training budget."""
+    """One grid cell: hidden layers (possibly none) plus the epoch budget."""
 
     hidden_layers: tuple[LayerSpec, ...]
     epochs: int
-    error_goal: float
-    learning_rate: float
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
-    @property
-    def family(self) -> tuple:
-        """Everything but the epoch budget: rows of one family are prefixes
-        of the same trajectory per seed."""
-        return (self.hidden_layers, self.error_goal, self.learning_rate)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
     grid: tuple[GridRow, ...]
     seeds: tuple[int, ...]
-    output_layer: LayerSpec = LayerSpec(1, Activation.TANSIG)
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(self.grid))
@@ -66,9 +61,8 @@ class SweepConfig:
                 raise ValueError(f"seed must be non-negative, got {seed!r}")
 
 
-# The canonical 15-row grid: hidden stacks crossed with epoch budgets,
-# every row at error goal 0.01 and learning rate 0.01.  An empty stack
-# means the network is just the 1/tansig output layer.
+# The canonical 15-row grid: hidden stacks crossed with epoch budgets.  An
+# empty stack means the network is just the 1/tansig output layer.
 _CANONICAL_FAMILIES: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...] = (
     ((), (35, 40, 45, 50, 80, 400, 1000)),
     (("2/logsig",), (35, 100, 200, 500, 1000)),
@@ -79,12 +73,8 @@ _CANONICAL_FAMILIES: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...] = (
 
 def canonical_grid(seeds: tuple[int, ...] = (42,)) -> SweepConfig:
     """The standard 15-row grid over 1/tansig .. 4/logsig+1/tansig networks."""
-    rows = []
-    for hidden_specs, epoch_budgets in _CANONICAL_FAMILIES:
-        hidden = tuple(LayerSpec.parse(s) for s in hidden_specs)
-        for epochs in epoch_budgets:
-            rows.append(GridRow(hidden, epochs, error_goal=0.01, learning_rate=0.01))
-    return SweepConfig(tuple(rows), tuple(seeds))
+    return SweepConfig([GridRow(tuple(map(LayerSpec.parse, specs)), epochs)
+                        for specs, budgets in _CANONICAL_FAMILIES for epochs in budgets], seeds)
 
 
 @dataclass(frozen=True)
@@ -172,7 +162,8 @@ def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict
 
 
 def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> list[SweepRow]:
-    """Train every grid row for every seed on the dataset's training split.
+    """Train every grid row for every seed on the dataset's training split,
+    with ``params_base``'s error goal and learning rate.
 
     Rows come back in grid order; a failing seed marks its entry failed
     without aborting the sweep.  Deterministic given (config, data, seeds).
@@ -183,31 +174,25 @@ def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> l
     train_batch = as_training_batch(data.training)
     test_batch = as_training_batch(data.testing) if len(data.testing[0]) else None
 
-    budgets_of: dict[tuple, set[int]] = {}
+    budgets_of: dict[tuple[LayerSpec, ...], set[int]] = {}
     for cell in config.grid:
-        budgets_of.setdefault(cell.family, set()).add(cell.epochs)
+        budgets_of.setdefault(cell.hidden_layers, set()).add(cell.epochs)
     outcomes: dict[tuple, _Outcome] = {}
-    for family, budgets in budgets_of.items():
-        hidden, error_goal, learning_rate = family
-        params = replace(params_base, learning_rate=learning_rate, error_goal=error_goal,
-                         max_epochs=max(budgets))
+    for hidden, budgets in budgets_of.items():
+        params = replace(params_base, max_epochs=max(budgets))
         for seed in config.seeds:
-            walked = _walk_family(hidden + (config.output_layer,), seed, budgets, params,
+            walked = _walk_family(hidden + (OUTPUT_LAYER,), seed, budgets, params,
                                   train_batch, test_batch)
             for budget, outcome in walked.items():
-                outcomes[family, budget, seed] = outcome
+                outcomes[hidden, budget, seed] = outcome
 
     rows: list[SweepRow] = []
     for cell in config.grid:
-        label = " + ".join(spec.label for spec in cell.hidden_layers + (config.output_layer,))
+        label = NetworkConfig(3, cell.hidden_layers + (OUTPUT_LAYER,)).label
         mses, test_mses, reasons, errors = zip(
-            *(outcomes[cell.family, cell.epochs, seed] for seed in config.seeds))
-        rows.append(
-            SweepRow(
-                label, cell.epochs, cell.error_goal, cell.learning_rate,
-                config.seeds, mses, test_mses, reasons, errors,
-            )
-        )
+            *(outcomes[cell.hidden_layers, cell.epochs, seed] for seed in config.seeds))
+        rows.append(SweepRow(label, cell.epochs, params_base.error_goal, params_base.learning_rate,
+                             config.seeds, mses, test_mses, reasons, errors))
     return rows
 
 

@@ -58,8 +58,9 @@ class TestTrain:
         assert code == 0
         assert "zero-epoch" in out
         model = load_model(out_path)
-        fresh = init_network(model.config)
-        for a, b in zip(model.weights + model.biases, fresh.weights + fresh.biases):
+        net = model.network
+        fresh = init_network(net.config)
+        for a, b in zip(net.weights + net.biases, fresh.weights + fresh.biases):
             assert a.tolist() == b.tolist()
 
     def test_missing_data_file_names_path(self, capsys):
@@ -76,6 +77,13 @@ class TestTrain:
                            "--epochs", "20")
         assert code == 0
         assert "training patterns: 14" in out
+
+    @pytest.mark.parametrize("split", [(), ("--split",)], ids=["whole", "split"])
+    def test_negative_seed_named_with_or_without_split(self, capsys, tmp_path, split):
+        data = tmp_path / "d.csv"
+        data.write_text("strategic,tactical,operational\n1,2,3\n4,5,1\n3,3,3\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", "--data", str(data), *split, "--seed", "-1")
+        assert (code, err) == (1, "error: seed must be non-negative, got -1\n")
 
     def test_header_only_csv_is_an_empty_batch(self, capsys, tmp_path):
         data = tmp_path / "empty.csv"
@@ -301,7 +309,7 @@ class TestParsingHelpers:
 
 def test_model_config_matches_flags(model_path):
     model = load_model(model_path)
-    assert model.config == NetworkConfig(
+    assert model.network.config == NetworkConfig(
         3, (LayerSpec.parse("4/logsig"), LayerSpec.parse("1/tansig")), seed=42)
 
 

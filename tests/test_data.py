@@ -220,6 +220,18 @@ class TestLoadCsv:
             load_csv(path)
         assert str(exc.value) == f"{path}: line 1502: not UTF-8 (invalid start byte)"
 
+    def test_undecodable_byte_after_a_chunk_ending_in_lone_cr(self, tmp_path):
+        # Byte 8,191 ends the decoder's first 8 KiB chunk with a lone \r line
+        # end, which the decoder holds back; the bad byte lies on line 1362.
+        data = bytearray(b"strategic,tactical,operational\r1,2,33\r" + b"1,2,3\r" * 2999)
+        assert data[8191:8192] == b"\r"
+        data[8194] = 0xFF
+        path = tmp_path / "cr.csv"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: line 1362: not UTF-8 (invalid start byte)"
+
 
 IN_RANGE = {"input": st.floats(-1.0, 5.0), "target": st.floats(-1.0, 1.0)}
 OUT_OF_RANGE = {

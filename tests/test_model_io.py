@@ -88,13 +88,13 @@ class TestRoundTrip:
         path = tmp_path / "model.json"
         save_model(trained_model, path)
         loaded = load_model(path)
-        for a, b in zip(loaded.weights + loaded.biases,
-                        trained_model.weights + trained_model.biases):
+        for a, b in zip(loaded.network.weights + loaded.network.biases,
+                        trained_model.network.weights + trained_model.network.biases):
             np.testing.assert_array_equal(a, b)
 
     def test_external_rule_round_trips(self, trained_model, tmp_path):
         model = model_from_training(
-            trained_model.network(), None, trained_model.train_params,
+            trained_model.network, None, trained_model.train_params,
             0.05, None, created_at="2026-08-09T00:00:00Z",
         )
         path = tmp_path / "model.json"
@@ -110,7 +110,7 @@ class TestRoundTrip:
         loaded = load_model(path)
         dataset = prepared_embedded()
         batch = as_training_batch(dataset.training)
-        assert abs(evaluate(loaded.network(), batch) - loaded.final_train_mse) < 1e-12
+        assert abs(evaluate(loaded.network, batch) - loaded.final_train_mse) < 1e-12
 
 
 class TestLoadValidation:
@@ -270,12 +270,21 @@ class TestDiagnose:
             with pytest.raises(ValueError, match=rf"input value {bad} outside \[-1, 5\]"):
                 diagnose(trained_model, (1.0, bad, 1.0))
 
+    def test_load_then_diagnose_builds_one_network(self, trained_model, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        built = []
+        check = Network.__post_init__
+        monkeypatch.setattr(Network, "__post_init__", lambda net: (built.append(net), check(net)))
+        diagnose(load_model(path), (3.0, 3.0, 3.0))
+        assert len(built) == 1
+
     def test_normalization_applied(self, trained_model):
         # Diagnosing raw values must equal forwarding normalized ones by hand.
         nmap = NormalizationMap()
         raw = (4.0, 1.5, 2.0)
         scaled = [nmap.apply(v) for v in raw]
-        out, _ = forward(trained_model.network(), scaled)
+        out, _ = forward(trained_model.network, scaled)
         assert diagnose(trained_model, raw).raw_output == float(out[0])
 
 

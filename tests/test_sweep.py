@@ -33,7 +33,7 @@ def dataset():
 
 
 def tiny_config(seeds=(1, 2, 3), epochs=30):
-    grid = (GridRow((LayerSpec(2, LOGSIG),), epochs, 0.01, 0.01),)
+    grid = (GridRow((LayerSpec(2, LOGSIG),), epochs),)
     return SweepConfig(grid, tuple(seeds))
 
 
@@ -44,14 +44,14 @@ class TestCanonicalGrid:
     def test_first_row(self):
         row = canonical_grid().grid[0]
         assert row.hidden_layers == ()
-        assert (row.epochs, row.error_goal, row.learning_rate) == (35, 0.01, 0.01)
+        assert row.epochs == 35
 
     def test_last_row(self):
         config = canonical_grid()
         row = config.grid[-1]
         assert row.hidden_layers == (LayerSpec(4, LOGSIG),)
-        assert (row.epochs, row.error_goal, row.learning_rate) == (1000, 0.01, 0.01)
-        assert config.output_layer == LayerSpec(1, TANSIG)
+        assert row.epochs == 1000
+        assert sweep_mod.OUTPUT_LAYER == LayerSpec(1, TANSIG)
 
     def test_family_budgets(self):
         grid = canonical_grid().grid
@@ -64,17 +64,22 @@ class TestCanonicalGrid:
         assert by_family[("3/logsig",)] == [35, 1000]
         assert by_family[("4/logsig",)] == [1000]
 
-    def test_all_rows_share_goal_and_lr(self):
-        assert all(r.error_goal == 0.01 and r.learning_rate == 0.01
-                   for r in canonical_grid().grid)
 
 
 class TestRunSweep:
+    def test_rows_report_the_given_goal_and_rate(self, dataset):
+        grid = (GridRow((), 5), GridRow((LayerSpec(2, LOGSIG),), 3))
+        params = TrainParams(error_goal=0.2, learning_rate=0.03)
+        rows = run_sweep(SweepConfig(grid, (1,)), dataset, params)
+        assert [(r.error_goal, r.learning_rate) for r in rows] == [(0.2, 0.03)] * 2
+
     def test_row_shape(self, dataset):
         rows = run_sweep(tiny_config(), dataset, TrainParams())
         assert len(rows) == 1
         row = rows[0]
         assert row.label == "2/logsig + 1/tansig"
+        layers = tiny_config().grid[0].hidden_layers + (sweep_mod.OUTPUT_LAYER,)
+        assert row.label == NetworkConfig(3, layers).label
         assert len(row.train_mse) == 3
         assert all(m is not None and m >= 0 for m in row.train_mse)
         assert row.min_mse <= row.mean_mse
@@ -96,7 +101,7 @@ class TestRunSweep:
         row = run_sweep(config, dataset, TrainParams())[0]
         # retrain the same cell by hand and score it independently
         params = TrainParams(learning_rate=0.01, error_goal=0.01, max_epochs=40)
-        layers = config.grid[0].hidden_layers + (config.output_layer,)
+        layers = config.grid[0].hidden_layers + (sweep_mod.OUTPUT_LAYER,)
         net = init_network(NetworkConfig(3, layers, seed=7))
         trained, _ = train(net, as_training_batch(dataset.training), params)
         assert abs(evaluate(trained, as_training_batch(dataset.training)) - row.train_mse[0]) < 1e-12
@@ -130,7 +135,7 @@ class TestRunSweep:
             return real_train(net, batch, params, on_epoch=hook)
 
         monkeypatch.setattr(sweep_mod, "train", train_failing_after_35)
-        grid = tuple(GridRow((LayerSpec(2, LOGSIG),), epochs, 0.01, 0.01) for epochs in (35, 40))
+        grid = tuple(GridRow((LayerSpec(2, LOGSIG),), epochs) for epochs in (35, 40))
         short, long = run_sweep(SweepConfig(grid, (1, 2)), dataset, TrainParams())
         monkeypatch.undo()
         assert short == run_sweep(SweepConfig(grid[:1], (1, 2)), dataset, TrainParams())[0]
@@ -142,22 +147,22 @@ class TestRunSweep:
         # The 2/logsig family reaches its goal near epoch 78 for these
         # seeds: before its largest budget, and on or after the others.
         grid = (
-            GridRow(two_logsig, 200, 0.1, 0.01),
-            GridRow(two_logsig, 0, 0.1, 0.01),
-            GridRow((), 40, 0.05, 0.02),
-            GridRow(two_logsig, 78, 0.1, 0.01),
-            GridRow((), 10, 0.05, 0.02),
-            GridRow(two_logsig, 30, 0.1, 0.01),
-            GridRow(two_logsig, 78, 0.1, 0.01),
+            GridRow(two_logsig, 200),
+            GridRow(two_logsig, 0),
+            GridRow((), 40),
+            GridRow(two_logsig, 78),
+            GridRow((), 10),
+            GridRow(two_logsig, 30),
+            GridRow(two_logsig, 78),
         )
         seeds = (1, 2, 3)
-        rows = run_sweep(SweepConfig(grid, seeds), dataset, TrainParams())
+        params_base = TrainParams(error_goal=0.1)
+        rows = run_sweep(SweepConfig(grid, seeds), dataset, params_base)
 
         train_batch = as_training_batch(dataset.training)
         test_batch = as_training_batch(dataset.testing)
         for cell, row in zip(grid, rows):
-            params = TrainParams(learning_rate=cell.learning_rate, error_goal=cell.error_goal,
-                                 max_epochs=cell.epochs)
+            params = TrainParams(error_goal=0.1, max_epochs=cell.epochs)
             mses, test_mses, reasons = [], [], []
             for seed in seeds:
                 layers = cell.hidden_layers + (LayerSpec(1, TANSIG),)
