@@ -214,7 +214,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     if (args.values is None) == (args.questionnaire is None):
         raise ValueError("pass either three comma-separated values or --questionnaire <csv>")
-    if args.questionnaire:
+    if args.questionnaire is not None:
         values = aggregate_questionnaire(load_questionnaire_csv(args.questionnaire))
         _say(args, f"aggregates: x1={values[0]:.3f} x2={values[1]:.3f} x3={values[2]:.3f}")
     else:

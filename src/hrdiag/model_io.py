@@ -133,8 +133,9 @@ def _section(name: str, value, cls):
 
 def load_model(path: str | Path) -> ModelFile:
     path = Path(path)
+    content = path.read_bytes()  # outside the try: a path open() refuses is not the file's fault
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(content.decode("utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: model file nests too deeply") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -115,10 +115,6 @@ class Network:
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {k}: non-finite parameters")
 
-    @property
-    def output_dim(self) -> int:
-        return self.config.output_dim
-
 
 @dataclass(eq=False)
 class Gradients:
@@ -290,8 +286,8 @@ def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("empty batch")
     if X.shape[1] != net.config.input_dim:
         raise ValueError(f"batch inputs have width {X.shape[1]}, expected {net.config.input_dim}")
-    if T.shape[1] != net.output_dim:
-        raise ValueError(f"batch targets have width {T.shape[1]}, expected {net.output_dim}")
+    if T.shape[1] != net.config.output_dim:
+        raise ValueError(f"batch targets have width {T.shape[1]}, expected {net.config.output_dim}")
     if not (np.isfinite(X).all() and np.isfinite(T).all()):
         raise ValueError("batch contains non-finite values")
     return X, T

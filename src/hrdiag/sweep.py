@@ -144,9 +144,7 @@ def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict
 
     def at_epoch(record, trajectory):
         if record.epoch in budgets:
-            goal = record.accepted and record.mse <= params.error_goal
-            settle(record.epoch, trajectory.network(), record.mse,
-                   StoppingReason.GOAL_REACHED if goal else StoppingReason.EPOCH_BUDGET_EXHAUSTED)
+            settle(record.epoch, trajectory.network(), record.mse, trajectory.stopping_reason)
 
     try:
         net = init_network(NetworkConfig(3, layers, seed=seed))

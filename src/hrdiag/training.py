@@ -188,20 +188,14 @@ class Trajectory:
     activations and residual feed the next epoch's gradient if the
     candidate is accepted, and the current ones, with their gradient, are
     kept if it is rejected, since the network is then unchanged.
-
-    ``velocity``, ``learning_rate`` and ``previous_mse`` set a starting
-    state other than a fresh run's (zero velocity, the configured rate,
-    no previous epoch).
     """
 
-    def __init__(self, net: Network, batch, params: TrainParams, *,
-                 velocity: Gradients | None = None, learning_rate: float | None = None,
-                 previous_mse: float | None = None):
+    def __init__(self, net: Network, batch, params: TrainParams):
         self._X, self._T = as_batch_arrays(batch, net)
         self._config = net.config
         self.params = params
-        self.learning_rate = params.learning_rate if learning_rate is None else learning_rate
-        self.previous_mse = previous_mse
+        self.learning_rate = params.learning_rate
+        self.previous_mse: float | None = None
         self.epoch = 0
         self.stopping_reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
 
@@ -209,8 +203,7 @@ class Trajectory:
         p = _flat(net.weights, net.biases)
         self._cur = self._state(p)
         self._next = self._state(np.empty_like(p))
-        self._v = (np.zeros_like(p) if velocity is None
-                   else _flat(velocity.weights, velocity.biases))
+        self._v = np.zeros_like(p)
         self._delta, self._g, self._scratch = (np.empty_like(p) for _ in range(3))
         self._grad_w, self._grad_b = _layer_views(self._g, net.config)
         self._finite = np.empty(p.shape, dtype=bool)
@@ -291,10 +284,6 @@ class Trajectory:
                                      [b.copy() for b in cur.biases])
         return self._snapshot
 
-    def velocity(self) -> Gradients:
-        """A copy of the current momentum velocity."""
-        return Gradients(*_layer_views(self._v.copy(), self._config))
-
 
 def train_epoch(
     net: Network,
@@ -311,14 +300,18 @@ def train_epoch(
     Returns the possibly-updated network, the new velocity, the learning
     rate for the next epoch, the reported MSE and the acceptance flag.
     """
+    check_finite_number("learning_rate", learning_rate)
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
     if previous_mse is not None and not previous_mse >= 0:
         raise ValueError(f"previous_mse must be >= 0, got {previous_mse!r}")
     velocity.check_congruent(net)
-    run = Trajectory(net, batch, params, velocity=velocity, learning_rate=learning_rate,
-                     previous_mse=previous_mse)
+    run = Trajectory(net, batch, params)
+    run.learning_rate, run.previous_mse = learning_rate, previous_mse
+    run._v[:] = _flat(velocity.weights, velocity.biases)
     record = run.step()
-    return EpochStep(run.network(), run.velocity(), run.learning_rate, record.mse,
-                     record.accepted)
+    return EpochStep(run.network(), Gradients(*_layer_views(run._v.copy(), net.config)),
+                     run.learning_rate, record.mse, record.accepted)
 
 
 def train(net: Network, batch, params: TrainParams,

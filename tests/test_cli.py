@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -6,13 +7,17 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hrdiag import ALL_FACTORS, NetworkConfig, init_network, load_model
 from hrdiag.cli import COMMANDS, build_parser, main
 from hrdiag.network import LayerSpec, _Workspace
+from test_data import CSV_PIECES
 
 ROOT = Path(__file__).resolve().parent.parent
 TOP_USAGE = "usage: hrdiag [-h] {train,eval,sweep,predict,score} ..."
@@ -340,6 +345,78 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: hrdiag predict ")
         assert err.endswith("hrdiag predict: error: unrecognized arguments: --bogus\n")
+
+
+# Values any flag or positional slot of a fuzzed command may get.  The
+# braced names stand for files the test fills in (see ``fuzz_paths``).
+ODD_VALUES = (st.sampled_from(["", "nan", "inf", "1e999", "-1", "9" * 400, "3,3,3"])
+              | st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=6))
+PATH_SLOTS = ["{model}", "{targeted}", "{questionnaire}", "{respondents}", "{pieces}",
+              "{missing}", "{dir}"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(model_path, tmp_path_factory):
+    """What each of ``PATH_SLOTS`` stands for: the trained model, a model
+    trained on a targeted respondent CSV (so without a surrogate rule), a
+    full questionnaire, that respondent CSV, a file of drawn CSV bytes, a
+    missing file and a directory."""
+    directory = tmp_path_factory.mktemp("cli-fuzz")
+    respondents = directory / "respondents.csv"
+    respondents.write_text(
+        "strategic,tactical,operational,target\n3,3,3,0.9\n1,2,1,-0.9\n", encoding="utf-8")
+    assert main(["train", "--data", str(respondents), "--epochs", "3",
+                 "-o", str(directory / "targeted.json"), "--quiet"]) == 0
+    files = [model_path, directory / "targeted.json", questionnaire_csv(directory, 3),
+             respondents, directory / "pieces.csv", directory / "missing.csv", directory]
+    return dict(zip(PATH_SLOTS, map(str, files)))
+
+
+@st.composite
+def fuzzed_argv(draw, command):
+    """``command`` with a random selection of its parser's own flags and
+    positional slots, each given a drawn value.  ``--paper-validation``
+    is left out: it trains."""
+    def value(action):
+        return draw(st.sampled_from(list(action.choices or ()) + PATH_SLOTS) | ODD_VALUES)
+
+    actions = build_parser(command)._actions
+    options = [a for a in actions if a.option_strings and a.dest != "paper_validation"]
+    flags = [[draw(st.sampled_from(a.option_strings))] + ([value(a)] if a.nargs != 0 else [])
+             for a in draw(st.lists(st.sampled_from(options), max_size=4))]
+    # Each slot is filled three times in four, so that most argv get past
+    # argparse's check for a missing positional.
+    slots = [value(a) for a in actions
+             if not a.option_strings and draw(st.sampled_from([True, True, True, False]))]
+    at = draw(st.integers(0, len(flags)))
+    return [command] + sum(flags[:at], []) + slots + sum(flags[at:], [])
+
+
+@settings(deadline=None, max_examples=300)
+@given(argv=st.sampled_from(["predict", "score", "eval"]).flatmap(fuzzed_argv),
+       pieces=st.lists(st.sampled_from(CSV_PIECES), max_size=12).map(b"".join))
+@example(argv=["predict", "{model}", "--questionnaire", ""], pieces=b"")
+def test_fuzzed_argv_exits_cleanly(fuzz_paths, argv, pieces):
+    # Exit 0, exit 1 with one "error: " line, or argparse's exit 2 (0 for
+    # help); no warning and no other exception.
+    Path(fuzz_paths["{pieces}"]).write_bytes(pieces)
+    argv = [fuzz_paths.get(a, a) for a in argv]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            assert exit_info.code == 2 or (exit_info.code == 0 and {"-h", "--help"} & set(argv))
+            return
+    assert [str(w.message) for w in caught] == []
+    stderr = err.getvalue()
+    if code == 1:
+        assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1, \
+            stderr
+    else:
+        assert code == 0 and stderr == "", stderr
 
 
 def run_module(*argv):

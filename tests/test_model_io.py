@@ -227,6 +227,14 @@ class TestLoadValidation:
         path.write_bytes(content)
         assert_predict_fails_with_one_line(path, capsys, f"error: {path}: model file {reason}")
 
+    @pytest.mark.parametrize("path", ["model\x00.json", "model\ud800.json"],
+                             ids=["nul", "lone-surrogate"])
+    def test_unopenable_path_is_not_blamed_on_the_file(self, path):
+        # open() raises ValueError for these names before any byte is read.
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert "model file" not in str(info.value)
+
     @pytest.mark.parametrize("text", ["[1]", '"model"', "null", "3"])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
         path = tmp_path / "model.json"

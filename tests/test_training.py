@@ -128,6 +128,13 @@ class TestTrainEpoch:
         assert step.accepted
         assert step.learning_rate == lr  # plain descent never moves the lr
 
+    @pytest.mark.parametrize("lr", [-0.5, 0.0, math.nan, math.inf, True, "x", 10 ** 400],
+                             ids=["negative", "zero", "nan", "inf", "bool", "str", "huge-int"])
+    def test_rejects_a_learning_rate_train_params_rejects(self, lr):
+        net = scalar_net()
+        with pytest.raises(ValueError, match="learning_rate"):
+            train_epoch(net, zero_gradients(net), self.BATCH, params(), lr, previous_mse=1.0)
+
 
 class TestTrain:
     def test_zero_epochs(self):
