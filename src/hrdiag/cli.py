@@ -9,6 +9,7 @@ bundled survey data.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -71,10 +72,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _require_one_source(args) -> None:
-    if args.embedded and args.data:
+    if args.embedded and args.data is not None:
         raise ValueError("pass either --embedded or --data, not both")
-    if not args.embedded and not args.data:
+    if not args.embedded and args.data is None:
         raise ValueError("no data source: pass --embedded or --data <csv>")
+    if args.data == "":
+        raise ValueError("--data needs a CSV path, got ''")
 
 
 def _read_csv(args):
@@ -194,7 +197,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.embedded and not args.data:
+    if not args.embedded and args.data is None:
         args.embedded = True  # the canonical sweep runs on the bundled data
     dataset, used_surrogate = _load_training_data(args)
     seeds = _parse_seeds(args.seeds) if args.seeds else (args.seed,)
@@ -279,7 +282,6 @@ def _add_train(p) -> None:
     p.add_argument("--split", action="store_true",
                    help="apply the seeded 70/30 split to --data and train on the 70%%")
     p.add_argument("-o", "--model-out", metavar="PATH", help="write the trained model as JSON")
-    p.set_defaults(func=cmd_train)
 
 
 def _add_eval(p) -> None:
@@ -290,7 +292,6 @@ def _add_eval(p) -> None:
     p.add_argument("--paper-validation", action="store_true",
                    help="continue training on the evaluation data and print the "
                         "'error=... no.of epoches=...' trajectory")
-    p.set_defaults(func=cmd_eval)
 
 
 def _add_sweep(p) -> None:
@@ -300,7 +301,6 @@ def _add_sweep(p) -> None:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--no-adaptive", action="store_true")
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
-    p.set_defaults(func=cmd_sweep)
 
 
 def _add_predict(p) -> None:
@@ -309,13 +309,11 @@ def _add_predict(p) -> None:
     p.add_argument("values", nargs="?",
                    help="three comma-separated raw aggregates, e.g. '3.5,2.0,4.0'")
     p.add_argument("--questionnaire", metavar="CSV", help="score a factor_id,score questionnaire")
-    p.set_defaults(func=cmd_predict)
 
 
 def _add_score(p) -> None:
     _add_common(p)
     p.add_argument("questionnaire", help="CSV with header factor_id,score")
-    p.set_defaults(func=cmd_score)
 
 
 # Per command, its help line and the function that adds its arguments.
@@ -328,9 +326,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """``command``'s parser alone, or with no command the full parser.  Each
-    adder binds ``func`` as it runs, so a wrapped ``cmd_*`` is the one called."""
+    is built once per process and shared: callers must not modify it."""
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"hrdiag {command}")
         COMMANDS[command][1](parser)
@@ -345,11 +344,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # No command, an unknown one, -h or --: the full parser handles them.
+    # No command, an unknown one, -h or --: the full parser prints help or
+    # exits 2, so only a named command gets past parse_args.
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:
-        return args.func(args)
+        # Looked up by name at each call, so a wrapped cmd_* is the one called.
+        return globals()[f"cmd_{command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -140,13 +140,20 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
         raise ValueError(f"row {row_num}, column '{column}': malformed number {raw!r}") from None
 
 
+def _open_path(path: Path, mode: str = "r", **kwargs):
+    """``path.open()``, with a path it refuses (a NUL byte, a lone surrogate) named in the error."""
+    try:
+        return path.open(mode, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{str(path)!r}: {exc}") from None
+
+
 @contextmanager
 def _csv_reader(path: Path):
     """A csv reader streaming a UTF-8 file; its errors name the path, and decode errors the line."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            yield reader
+        with _open_path(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
     except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
     except UnicodeDecodeError:  # its offset counts from the decoder's chunk, so decode it all

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import (
     RAW_MAX, RAW_MIN, FAILURE_TARGET, SUCCESS_TARGET, NormalizationMap, check_finite_number,
-    first_out_of_range,
+    _open_path, first_out_of_range,
 )
 from .network import LayerSpec, Network, NetworkConfig, forward
 from .activations import Activation
@@ -133,7 +133,8 @@ def _section(name: str, value, cls):
 
 def load_model(path: str | Path) -> ModelFile:
     path = Path(path)
-    content = path.read_bytes()  # outside the try: a path open() refuses is not the file's fault
+    with _open_path(path, "rb") as fh:  # outside the try: a refused path is not the file's fault
+        content = fh.read()
     try:
         raw = json.loads(content.decode("utf-8"))
     except RecursionError:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrdiag import ALL_FACTORS, NetworkConfig, init_network, load_model
+from hrdiag import cli
 from hrdiag.cli import COMMANDS, build_parser, main
 from hrdiag.network import LayerSpec, _Workspace
 from test_data import CSV_PIECES
@@ -255,6 +256,40 @@ def test_unreadable_csv_gives_one_error_line_naming_the_file(capsys, model_path,
     assert "Traceback" not in err
 
 
+# An input path that open() refuses before reading, passed in each slot
+# that names an input file.
+UNOPENABLE_ARGV = {
+    "score": ["score", "{path}"],
+    "predict-questionnaire": ["predict", "{model}", "--questionnaire", "{path}"],
+    "predict-model": ["predict", "{path}", "1,2,3"],
+    "train-data": ["train", "--data", "{path}"],
+}
+
+
+@pytest.mark.parametrize("path", ["in\x00.csv", "in\ud800.csv"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("argv", UNOPENABLE_ARGV.values(), ids=UNOPENABLE_ARGV)
+def test_unopenable_path_is_named_in_the_one_error_line(capsys, model_path, argv, path):
+    argv = [{"{path}": path, "{model}": str(model_path)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path!r}: ") and err.count("\n") == 1, err
+
+
+EMPTY_DATA_ARGV = {
+    "train": (["train", "--data", ""], "--data needs a CSV path, got ''"),
+    "eval": (["eval", "{model}", "--data", ""], "--data needs a CSV path, got ''"),
+    "sweep": (["sweep", "--data", "", "--seeds", "1", "--quiet"], "--data needs a CSV path, got ''"),
+    "eval-embedded": (["eval", "{model}", "--embedded", "--data", "", "--quiet"],
+                      "pass either --embedded or --data, not both"),
+}
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_DATA_ARGV.values(), ids=EMPTY_DATA_ARGV)
+def test_empty_data_path_is_a_given_source(capsys, model_path, argv, message):
+    argv = [str(model_path) if a == "{model}" else a for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestSweep:
     def test_default_run_prints_15_rows(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -337,6 +372,23 @@ class TestParser:
             main(["predict", "--help"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: hrdiag predict ")
+
+    @pytest.mark.parametrize("command", [*COMMANDS, None])
+    def test_each_parser_is_built_once(self, command):
+        assert build_parser(command) is build_parser(command)
+
+    def test_reused_parser_dispatches_to_the_patched_command(self, monkeypatch, model_path):
+        build_parser("predict")
+        seen = []
+
+        def stub(args):
+            seen.append(args)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_predict", stub)
+        assert main(["predict", str(model_path), "1,2,3", "--seed", "5"]) == 7
+        assert main(["predict", str(model_path), "1,2,3"]) == 7
+        assert [args.seed for args in seen] == [5, 42]  # a fresh namespace per call
 
     def test_unrecognized_argument_exits_2_with_command_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
