@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from .data import (
     RAW_MAX,
     RAW_MIN,
     Dataset,
+    _open_path,
     aggregate_questionnaire,
     as_training_batch,
     assign_surrogate_targets,
@@ -71,13 +73,20 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _nonempty(name: str, value: str | None, what: str = "a path") -> str | None:
+    """``value``, the path given as ``name`` (or None): Path('') is the current
+    directory, so an empty one is refused here, naming ``name``."""
+    if value == "":
+        raise ValueError(f"{name} needs {what}, got ''")
+    return value
+
+
 def _require_one_source(args) -> None:
     if args.embedded and args.data is not None:
         raise ValueError("pass either --embedded or --data, not both")
     if not args.embedded and args.data is None:
         raise ValueError("no data source: pass --embedded or --data <csv>")
-    if args.data == "":
-        raise ValueError("--data needs a CSV path, got ''")
+    _nonempty("--data", args.data, "a CSV path")
 
 
 def _read_csv(args):
@@ -109,6 +118,7 @@ def _load_training_data(args) -> tuple[Dataset, bool]:
 
 
 def cmd_train(args) -> int:
+    _nonempty("-o", args.model_out)
     dataset, used_surrogate = _load_training_data(args)
     batch = as_training_batch(dataset.training)
 
@@ -140,7 +150,7 @@ def cmd_train(args) -> int:
     if used_surrogate:
         _say(args, SURROGATE_CAVEAT)
 
-    if args.model_out:
+    if args.model_out is not None:
         rule = SurrogateRule(args.threshold) if used_surrogate else None
         model = model_from_training(trained, dataset.normalization, params, final_mse, rule)
         save_model(model, args.model_out)
@@ -163,7 +173,7 @@ def _load_eval_set(args, model) -> tuple[tuple, bool]:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
+    model = load_model(_nonempty("model", args.model))
     net = model.network
     (X, T), used_surrogate = _load_eval_set(args, model)
     if model.normalization is not None:
@@ -203,22 +213,27 @@ def cmd_sweep(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else (args.seed,)
     config = canonical_grid(seeds)
     params_base = TrainParams(momentum=args.momentum, adaptive=not args.no_adaptive)
-    rows = run_sweep(config, dataset, params_base)
-    _say(args, render_table(rows))
-    if used_surrogate:
-        _say(args, SURROGATE_CAVEAT)
-    if args.csv:
-        Path(args.csv).write_text(render_csv(rows), encoding="utf-8")
+    # Opened before the grid runs, so a path open() refuses costs no training.
+    with (nullcontext() if args.csv is None
+          else _open_path(Path(_nonempty("--csv", args.csv)), "w", encoding="utf-8")) as out:
+        rows = run_sweep(config, dataset, params_base)
+        _say(args, render_table(rows))
+        if used_surrogate:
+            _say(args, SURROGATE_CAVEAT)
+        if out is not None:
+            out.write(render_csv(rows))
+    if args.csv is not None:
         _say(args, f"csv written to {args.csv}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
+    model = load_model(_nonempty("model", args.model))
     if (args.values is None) == (args.questionnaire is None):
         raise ValueError("pass either three comma-separated values or --questionnaire <csv>")
     if args.questionnaire is not None:
-        values = aggregate_questionnaire(load_questionnaire_csv(args.questionnaire))
+        values = aggregate_questionnaire(load_questionnaire_csv(
+            _nonempty("--questionnaire", args.questionnaire, "a CSV path")))
         _say(args, f"aggregates: x1={values[0]:.3f} x2={values[1]:.3f} x3={values[2]:.3f}")
     else:
         parts = args.values.split(",")
@@ -241,7 +256,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_score(args) -> int:
-    resp = load_questionnaire_csv(args.questionnaire)
+    resp = load_questionnaire_csv(_nonempty("questionnaire", args.questionnaire, "a CSV path"))
     x1, x2, x3 = aggregate_questionnaire(resp)
     _say(args, f"x1={x1:.3f} x2={x2:.3f} x3={x3:.3f}")
     _say(args)

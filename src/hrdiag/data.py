@@ -16,8 +16,8 @@ otherwise.  Every report built on these labels carries a caveat.
 from __future__ import annotations
 
 import csv
+import io
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,11 +100,11 @@ class QuestionnaireResponse:
     scores: dict[str, float]
 
     def __post_init__(self):
-        unknown = sorted(set(self.scores) - set(ALL_FACTORS))
+        unknown = sorted(self.scores.keys() - ALL_FACTORS)
         if unknown:
             raise ValueError(f"unknown factor id(s): {', '.join(unknown)}")
-        missing = [f for f in ALL_FACTORS if f not in self.scores]
-        if missing:
+        if len(self.scores) < len(ALL_FACTORS):  # no unknown id, so some are missing
+            missing = [f for f in ALL_FACTORS if f not in self.scores]
             raise ValueError(f"missing factor(s): {', '.join(missing)}")
         for factor, score in self.scores.items():
             if not RAW_MIN <= score <= RAW_MAX:  # NaN fails every comparison too
@@ -148,36 +148,29 @@ def _open_path(path: Path, mode: str = "r", **kwargs):
         raise ValueError(f"{str(path)!r}: {exc}") from None
 
 
-@contextmanager
-def _csv_reader(path: Path):
-    """A csv reader streaming a UTF-8 file; its errors name the path, and decode errors the line."""
+def _read_text(path: Path) -> str:
+    """A UTF-8 file's text from one read of its bytes; a bad byte's error names its line."""
+    with _open_path(path, "rb", buffering=0) as fh:
+        data = fh.read()
     try:
-        with _open_path(path, newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
-    except csv.Error as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:  # its offset counts from the decoder's chunk, so decode it all
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            done = data[:exc.start]
-            line = 1 + done.count(b"\n") + done.count(b"\r") - done.count(b"\r\n")
-            raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
-        raise  # the file was rewritten after the failed read
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        done = data[:exc.start]
+        line = 1 + done.count(b"\n") + done.count(b"\r") - done.count(b"\r\n")
+        raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
-def _loadtxt_cells(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Header and cells of a well-formed respondent CSV in one np.loadtxt pass,
-    else ValueError or csv.Error.  loadtxt rejects ``1_0``, Unicode digits,
+def _loadtxt_cells(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and cells of a well-formed respondent CSV's text in one np.loadtxt
+    pass, else ValueError or csv.Error.  loadtxt rejects ``1_0``, Unicode digits,
     quoted cells and lone ``\\r`` line ends, which float() or the csv reader
     accept, but skips blank lines, parses cells past the csv field limit and
     strips \\x1c-\\x1f around a number, which float() rejects."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = tuple(h.strip() for h in next(csv.reader(fh), ()))
-        body = fh.read()
+    # No StringIO (4 bytes a character); a quote may end the header on a later line.
+    head, _, body = text.partition("\n")
+    header = tuple(h.strip() for h in next(csv.reader([head]), ()))
     lines = body.removesuffix("\n").split("\n")
-    if (header not in (CSV_COLUMNS, _CSV_TARGETED) or "" in lines or "\r" in lines
+    if ('"' in head or header not in (CSV_COLUMNS, _CSV_TARGETED) or "" in lines or "\r" in lines
             or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
             or max(map(len, lines)) > csv.field_size_limit()):
         raise ValueError("not a plain respondent file")
@@ -187,10 +180,11 @@ def _loadtxt_cells(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     return header, cells
 
 
-def _csv_rows(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Header and cells by the csv reader and float(), row by row, or the error."""
+def _csv_rows(path: Path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and cells of ``text`` by the csv reader and float(), row by row, or the error."""
     rows: list[list[float]] = []
-    with _csv_reader(path) as reader:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = tuple(h.strip() for h in next(reader, ()))
         if header not in (CSV_COLUMNS, _CSV_TARGETED):
             raise ValueError(
@@ -201,6 +195,8 @@ def _csv_rows(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
             if len(row) != len(header):
                 raise ValueError(f"row {row_num}: expected {len(header)} columns, found {len(row)}")
             rows.append([_parse_cell(raw, row_num, column) for column, raw in zip(header, row)])
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return header, np.array(rows, dtype=float).reshape(-1, len(header))
 
 
@@ -210,14 +206,16 @@ def load_csv(path: str | Path) -> Respondents:
     The header must be ``strategic,tactical,operational``, optionally
     followed by a ``target`` column (T is None without it).  Inputs must
     lie in [-1, 5] and targets in [-1, 1].  Errors name the offending row
-    (1-based, counting data rows) and column; every cell is parsed before
-    any range is checked, so a malformed cell is reported first.
+    (1-based, counting data rows) and column.  The whole file is decoded,
+    then every cell parsed, before any range is checked, so a non-UTF-8 byte
+    is reported first and a malformed cell next.
     """
     path = Path(path)
+    text = _read_text(path)
     try:
-        header, cells = _loadtxt_cells(path)
+        header, cells = _loadtxt_cells(text)
     except (csv.Error, ValueError):
-        header, cells = _csv_rows(path)
+        header, cells = _csv_rows(path, text)
     ncols = len(header)
     lo, hi = _CSV_LOW[:ncols], _CSV_HIGH[:ncols]
     bad = first_out_of_range(cells, lo, hi)
@@ -303,9 +301,9 @@ def load_questionnaire_csv(path: str | Path) -> QuestionnaireResponse:
     """
     path = Path(path)
     scores: dict[str, float] = {}
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("factor_id", "score"):
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        if tuple(h.strip() for h in next(reader, ())) != ("factor_id", "score"):
             raise ValueError(f"{path}: expected header 'factor_id,score'")
         for row_num, row in enumerate(reader, start=1):
             if len(row) != 2:
@@ -314,4 +312,6 @@ def load_questionnaire_csv(path: str | Path) -> QuestionnaireResponse:
             if factor in scores:
                 raise ValueError(f"row {row_num}: duplicate factor id '{factor}'")
             scores[factor] = _parse_cell(row[1], row_num, "score")
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return QuestionnaireResponse(scores)

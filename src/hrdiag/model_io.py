@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -103,7 +103,8 @@ def _model_dict(model: ModelFile) -> dict:
 
 
 def save_model(model: ModelFile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_model_dict(model), indent=2) + "\n", encoding="utf-8")
+    with _open_path(Path(path), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_model_dict(model), indent=2) + "\n")
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -127,13 +128,13 @@ def _object(name: str, value, keys) -> dict:
 
 
 def _section(name: str, value, cls):
-    """``cls`` from a JSON object keyed by its fields; ``cls`` checks the values."""
-    return cls(**_object(name, value, [f.name for f in fields(cls)]))
+    """``cls`` from a JSON object keyed by its fields (``__match_args__``); ``cls`` checks them."""
+    return cls(**_object(name, value, cls.__match_args__))
 
 
 def load_model(path: str | Path) -> ModelFile:
     path = Path(path)
-    with _open_path(path, "rb") as fh:  # outside the try: a refused path is not the file's fault
+    with _open_path(path, "rb", buffering=0) as fh:  # outside the try: not the file's fault
         content = fh.read()
     try:
         raw = json.loads(content.decode("utf-8"))

@@ -9,6 +9,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -288,6 +289,60 @@ EMPTY_DATA_ARGV = {
 def test_empty_data_path_is_a_given_source(capsys, model_path, argv, message):
     argv = [str(model_path) if a == "{model}" else a for a in argv]
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# An empty output path, and the line that refuses it before any training.
+EMPTY_OUTPUT_ARGV = {
+    "train": (["train", "--embedded", "--epochs", "3", "-o", ""], "-o needs a path, got ''"),
+    "sweep": (["sweep", "--seeds", "1", "--csv", ""], "--csv needs a path, got ''"),
+}
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_OUTPUT_ARGV.values(), ids=EMPTY_OUTPUT_ARGV)
+def test_empty_output_path_is_refused_before_training(capsys, monkeypatch, argv, message):
+    for name in ("train", "run_sweep"):
+        monkeypatch.setattr(cli, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# An empty input path in each slot that names an input file: Path('') is
+# the current directory, which the user never named.
+EMPTY_INPUT_ARGV = {
+    "score": (["score", ""], "questionnaire needs a CSV path, got ''"),
+    "predict-questionnaire": (["predict", "{model}", "--questionnaire", ""],
+                              "--questionnaire needs a CSV path, got ''"),
+    "eval-model": (["eval", "", "--embedded"], "model needs a path, got ''"),
+    "predict-model": (["predict", "", "1,2,3"], "model needs a path, got ''"),
+}
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_INPUT_ARGV.values(), ids=EMPTY_INPUT_ARGV)
+def test_empty_input_path_names_its_argument(capsys, model_path, argv, message):
+    argv = [str(model_path) if a == "{model}" else a for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# Each output flag, last, so that a path can follow it.
+OUTPUT_ARGV = {
+    "-o": ["train", "--embedded", "--epochs", "3", "--quiet", "-o"],
+    "--csv": ["sweep", "--seeds", "1", "--quiet", "--csv"],
+}
+
+
+@pytest.mark.parametrize("path", ["out\x00.csv", "out\ud800.csv"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("argv", OUTPUT_ARGV.values(), ids=OUTPUT_ARGV)
+def test_unopenable_output_path_is_named_in_the_one_error_line(capsys, monkeypatch, argv, path):
+    monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path!r}: ") and err.count("\n") == 1, err
+
+
+def test_sweep_csv_directory_fails_before_the_grid_runs(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
+    code, out, err = run(capsys, "sweep", "--seeds", "1", "--csv", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 class TestSweep:

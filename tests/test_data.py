@@ -233,6 +233,15 @@ class TestLoadCsv:
         assert str(exc.value) == f"{path}: line 1362: not UTF-8 (invalid start byte)"
 
 
+    @pytest.mark.parametrize("header", ['strategic,tactical,"operational',
+                                        '"strategic",tactical,operational'])
+    def test_quoted_header_reads_as_the_row_reader_reads_it(self, tmp_path, header):
+        # A quote left open on the first line closes on a later one, or never.
+        path = self.write(tmp_path, header + "\n1,2,3\n")
+        with mock.patch.object(data, "_loadtxt_cells", side_effect=ValueError):
+            by_rows = load_outcome(path)
+        assert load_outcome(path) == by_rows
+
 IN_RANGE = {"input": st.floats(-1.0, 5.0), "target": st.floats(-1.0, 1.0)}
 OUT_OF_RANGE = {
     kind: st.floats(max_value=lo, exclude_max=True, allow_infinity=False)
@@ -408,7 +417,7 @@ def test_loadtxt_pass_matches_row_reader(csv_path, generated):
         by_rows = load_outcome(csv_path)
     assert load_outcome(csv_path) == by_rows
     if plain:
-        data._loadtxt_cells(csv_path)
+        data._loadtxt_cells(text)
 
 
 class TestNormalization:
@@ -526,3 +535,45 @@ class TestQuestionnaireCsv:
         path.write_text("factor,value\nleadership,3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="factor_id,score"):
             load_questionnaire_csv(path)
+
+    VALID = ["factor_id,score"] + [f"{f},3" for f in ALL_FACTORS]
+    # One file per fault: its bytes, then the message, in which {path} is the file.
+    FAULTS = {
+        "bad header": (b"factor,value\nleadership,3\n",
+                       "{path}: expected header 'factor_id,score'"),
+        "3 columns": ("\n".join(VALID[:5] + ["vision,3,3"] + VALID[5:]).encode(),
+                      "row 5: expected 2 columns, found 3"),
+        "duplicate id": ("\n".join(VALID + [f"{ALL_FACTORS[3]},4"]).encode(),
+                         f"row 34: duplicate factor id '{ALL_FACTORS[3]}'"),
+        "malformed score": ("\n".join(VALID[:2] + [f"{ALL_FACTORS[1]},3..5"] + VALID[3:]).encode(),
+                            "row 2, column 'score': malformed number '3..5'"),
+        "unknown id": ("\n".join(VALID + ["vision,3"]).encode(), "unknown factor id(s): vision"),
+        "missing id": ("\n".join(VALID[:7] + VALID[8:]).encode(),
+                       f"missing factor(s): {ALL_FACTORS[6]}"),
+        "out-of-range score": ("\n".join(VALID[:-1] + [f"{ALL_FACTORS[-1]},5.5"]).encode(),
+                               f"factor {ALL_FACTORS[-1]}: score 5.5 outside [-1, 5]"),
+        "non-UTF-8 byte": ("\r\n".join(VALID[:12]).encode() + b"\r\n\xe9,3\r\n",
+                           "{path}: line 13: not UTF-8 (invalid continuation byte)"),
+        "cell over the field limit": (b"factor_id,score\nleadership," + HUGE_CELL + b"\n",
+                                      "{path}: field larger than field limit (131072)"),
+        "empty file": (b"", "{path}: expected header 'factor_id,score'"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_fault_has_its_message(self, tmp_path, fault):
+        content, message = self.FAULTS[fault]
+        path = tmp_path / "q.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            load_questionnaire_csv(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_undecodable_byte_is_reported_before_an_earlier_fault(self, tmp_path):
+        # The file is decoded whole before it is parsed, so a bad byte past
+        # the first 8 KiB outranks the 3-column row 1 before it.
+        lines = ["factor_id,score", "leadership,3,3"] + ["vision,3"] * 1500
+        path = tmp_path / "q.csv"
+        path.write_bytes("\n".join(lines).encode() + b"\n\xff,3\n")
+        with pytest.raises(ValueError) as exc:
+            load_questionnaire_csv(path)
+        assert str(exc.value) == f"{path}: line 1503: not UTF-8 (invalid start byte)"
