@@ -210,7 +210,7 @@ def cmd_sweep(args) -> int:
     if not args.embedded and args.data is None:
         args.embedded = True  # the canonical sweep runs on the bundled data
     dataset, used_surrogate = _load_training_data(args)
-    seeds = _parse_seeds(args.seeds) if args.seeds else (args.seed,)
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else (args.seed,)
     config = canonical_grid(seeds)
     params_base = TrainParams(momentum=args.momentum, adaptive=not args.no_adaptive)
     # Opened before the grid runs, so a path open() refuses costs no training.

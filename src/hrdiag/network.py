@@ -157,6 +157,17 @@ def init_network(config: NetworkConfig) -> Network:
     return Network(config, weights, biases)
 
 
+# Batches of at least this many rows take _Workspace's long-batch forms,
+# which give the bits of numpy's plain calls; shorter ones take the plain
+# calls, which cost less per call there.  µs per call on a (rows, 4) layer
+# (timeit, numpy 2.4, 1 BLAS thread); whole steps break even near 256 rows:
+#   rows    bias add: F / plain  bias sum: einsum / add.reduce  hand-back: broadcast / matmul
+#   52      1.38 / 1.29          1.92 / 1.81                    1.90 / 1.43
+#   256     3.66 / 3.82          3.96 / 6.36                    4.92 / 5.09
+#   20,000  57.4 / 123.6         74.5 / 345.8                   81.0 / 178.0
+_LONG_ROWS = 256
+
+
 class _Workspace:
     """Scratch buffers for one network configuration on batches of ``rows``
     rows, allocated here and reused by every pass.
@@ -176,20 +187,21 @@ class _Workspace:
         # Each layer's in-place transfer function and derivative, looked up once.
         self.applies = [_APPLY[spec.activation] for spec in layers]
         self.derivs = [_DERIV[spec.activation] for spec in layers]
-        # OpenBLAS multiplies a long batch by the strided view W.T ~3x slower
+        # OpenBLAS multiplies a batch by the strided view W.T up to ~3x slower
         # than by a contiguous (fan_in, neurons) copy, which gives the same
         # bits for two or more rows and neurons.  One-neuron views are already
         # contiguous, and numpy sends one-row batches down its matrix-vector
         # path, where the two forms round differently: both keep the view (None).
         self.weights_t = [np.empty((fan_in, spec.neurons)) if rows > 1 and spec.neurons > 1
                           else None for fan_in, spec in zip(config.fan_ins(), layers)]
-        # Bias gradients are delta's column sums.  einsum adds row after
-        # row, as np.add.reduce (axis 0 by default) does for two or more
-        # columns, and is faster on long batches; one column add.reduce
-        # sums pairwise, so one-neuron layers keep it.
-        self.bias_sums = [
-            partial(np.einsum, "ij->j") if spec.neurons > 1 else np.add.reduce for spec in layers
-        ]
+        self.long = long = rows >= _LONG_ROWS
+        # Elementwise, so "F" (rows axis innermost) changes no bit.
+        self.bias_add = partial(np.add, order="F") if long else np.add
+        # Bias gradients are delta's column sums.  einsum adds row after row,
+        # as np.add.reduce (axis 0 by default) does for two or more columns;
+        # one column add.reduce sums pairwise, so one-neuron layers keep it.
+        self.bias_sums = [partial(np.einsum, "ij->j") if long and spec.neurons > 1
+                          else np.add.reduce for spec in layers]
         self.total = np.empty(())
 
     def stack(self, X: np.ndarray) -> list[np.ndarray]:
@@ -205,8 +217,7 @@ class _Workspace:
                 np.copyto(copy, W)
                 W = copy
             np.matmul(acts[k], W, out=z)
-            # Elementwise, so "F" (rows axis innermost) changes no bit.
-            np.add(z, biases[k], out=z, order="F")
+            self.bias_add(z, biases[k], out=z)
             apply(z, self.work[k])
 
     def score(self, weights, biases, acts, T, residual) -> float:
@@ -239,7 +250,7 @@ class _Workspace:
             self.bias_sums[k](delta, out=grad_b[k])
             if k > 0:
                 below, deriv, _ = work[k - 1]
-                if delta.shape[1] == 1:
+                if self.long and delta.shape[1] == 1:
                     # The rank-1 product as a broadcast multiply, which is
                     # faster; adding 0.0 turns its -0.0 into matmul's +0.0.
                     np.multiply(delta, weights[k], out=below, order="F")

@@ -25,6 +25,7 @@ never poison the parameters.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -212,6 +213,8 @@ class Trajectory:
         self._gradient_current = False
         with np.errstate(all="ignore"):
             self._score(self._cur)
+            # numpy's error state is a context variable: steps run in this copy.
+            self._quiet = contextvars.copy_context()
         self._snapshot: Network | None = net
 
     def _state(self, flat: np.ndarray) -> _State:
@@ -223,23 +226,24 @@ class Trajectory:
 
     def step(self) -> EpochRecord:
         """Run one full-batch update attempt, ignoring goal and budget."""
+        # Divergent candidates are caught by _step's finiteness checks, so
+        # overflow warnings carry no information there.
+        return self._quiet.run(self._step)
+
+    def _step(self) -> EpochRecord:
         params, lr, previous = self.params, self.learning_rate, self.previous_mse
         cur, cand = self._cur, self._next
-
-        # Divergent candidates are caught by the finiteness checks below, so
-        # overflow warnings carry no information here.
-        with np.errstate(all="ignore"):
-            if not self._gradient_current:
-                self._work.backward(cur.weights, cur.acts, cur.residual,
-                                    self._grad_w, self._grad_b)
-            np.multiply(self._v, params.momentum, out=self._delta)
-            np.multiply(self._g, lr, out=self._scratch)
-            np.subtract(self._delta, self._scratch, out=self._delta)
-            np.add(cur.flat, self._delta, out=cand.flat)
-            # An infinite weight feeding a saturating unit can still give a
-            # finite MSE, so the parameters themselves must be checked.
-            np.isfinite(cand.flat, out=self._finite)
-            cand_mse = self._score(cand) if self._finite.all() else math.nan
+        if not self._gradient_current:
+            self._work.backward(cur.weights, cur.acts, cur.residual, self._grad_w, self._grad_b)
+        np.multiply(self._v, params.momentum, out=self._delta)
+        np.multiply(self._g, lr, out=self._scratch)
+        np.subtract(self._delta, self._scratch, out=self._delta)
+        np.add(cur.flat, self._delta, out=cand.flat)
+        # An infinite weight feeding a saturating unit can still give a
+        # finite MSE, so the parameters themselves must be checked.
+        np.isfinite(cand.flat, out=self._finite)
+        finite = np.count_nonzero(self._finite) == self._finite.size
+        cand_mse = self._score(cand) if finite else math.nan
 
         worse_than_allowed = (
             params.adaptive and previous is not None

@@ -382,6 +382,12 @@ class TestSweep:
         assert code == 1 and out == ""
         assert err == f"error: --seeds must be N, N,M,... or A..B with A <= B, got {spec!r}\n"
 
+    def test_empty_seed_spec_is_refused_not_replaced_by_seed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
+        code, out, err = run(capsys, "sweep", "--seeds", "", "--seed", "7", "--quiet")
+        assert code == 1 and out == ""
+        assert err == "error: --seeds must be N, N,M,... or A..B with A <= B, got ''\n"
+
 
 class TestParsingHelpers:
     def test_hidden_spec_parsing(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrdiag import (
@@ -13,7 +13,7 @@ from hrdiag import (
     forward,
     init_network,
 )
-from hrdiag.network import _Workspace
+from hrdiag.network import _LONG_ROWS, _Workspace
 
 from helpers import fd_gradients, gradient_check, random_batch, random_config
 
@@ -159,6 +159,9 @@ class TestComputeMse:
 
 
 SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.0**-1022, -1e308, 1e308)
+# _Workspace takes numpy's plain calls below _LONG_ROWS rows and its
+# long-batch forms from there on: each kernel-form test pins both sides.
+EDGE_ROWS = (_LONG_ROWS - 1, _LONG_ROWS)
 
 
 @settings(max_examples=80, deadline=None)
@@ -170,6 +173,8 @@ SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.0**-1022, -1e308
     specials=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(SPECIAL_VALUES)),
                       max_size=8),
 )
+@example(rows=EDGE_ROWS[0], cols=4, seed=1, spread=30, specials=[(5, -0.0), (9, np.nan)])
+@example(rows=EDGE_ROWS[1], cols=4, seed=1, spread=30, specials=[(5, -0.0), (9, np.nan)])
 def test_bias_gradient_is_the_axis0_reduce_of_delta(rows, cols, seed, spread, specials):
     # Whichever reducer a layer uses, its bias gradient must be the bytes
     # np.add.reduce(delta, axis=0) gives: row after row for two or more
@@ -197,10 +202,12 @@ def test_bias_gradient_is_the_axis0_reduce_of_delta(rows, cols, seed, spread, sp
     specials=st.lists(st.tuples(st.booleans(), st.integers(0, 2**31),
                                 st.sampled_from(SPECIAL_VALUES)), max_size=8),
 )
+@example(rows=EDGE_ROWS[0], cols=4, seed=2, spread=30, specials=[(True, 1, -0.0), (False, 3, np.nan)])
+@example(rows=EDGE_ROWS[1], cols=4, seed=2, spread=30, specials=[(True, 1, -0.0), (False, 3, np.nan)])
 def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
-    # A one-neuron layer hands its delta back with a broadcast multiply; the
-    # bytes must be those of np.matmul(delta, W), zero signs and NaNs
-    # included.  Purelin below it makes the hand-back the lower delta.
+    # On a long batch a one-neuron layer hands its delta back with a
+    # broadcast multiply; the bytes must be those of np.matmul(delta, W),
+    # zero signs and NaNs included.  Purelin below it makes the hand-back the lower delta.
     rng = np.random.default_rng(seed)
     residual = np.ldexp(rng.standard_normal((rows, 1)), rng.integers(-spread, spread + 1, (rows, 1)))
     W = np.ldexp(rng.standard_normal((1, cols)), rng.integers(-spread, spread + 1, (1, cols)))
@@ -227,9 +234,13 @@ def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
     specials=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**31),
                                 st.sampled_from(SPECIAL_VALUES)), max_size=8),
 )
+@example(rows=EDGE_ROWS[0], widths=[3, 4, 1], kinds=[Activation.LOGSIG, Activation.TANSIG],
+         seed=3, spread=30, zero_biases=None, specials=[(0, 7, -0.0)])
+@example(rows=EDGE_ROWS[1], widths=[3, 4, 1], kinds=[Activation.LOGSIG, Activation.TANSIG],
+         seed=3, spread=30, zero_biases=None, specials=[(0, 7, -0.0)])
 def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, seed, spread,
                                                          zero_biases, specials):
-    # The forward pass multiplies long batches by a contiguous copy of W.T
+    # The forward pass multiplies multi-row batches by a contiguous copy of W.T
     # and one-row batches by the view; either way its bytes must be those of
     # np.matmul(a, W.T), the bias add and Activation.apply, layer by layer.
     rng = np.random.default_rng(seed)

@@ -21,6 +21,7 @@ from hrdiag import (
     train_epoch,
     zero_gradients,
 )
+from hrdiag import network
 
 TANSIG = Activation.TANSIG
 LOGSIG = Activation.LOGSIG
@@ -425,6 +426,57 @@ def test_epochs_allocate_no_batch_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak - base < 20_000 * 8
+
+
+@pytest.mark.parametrize("layers", [(LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)),
+                                    (LayerSpec(1, TANSIG),)],
+                         ids=["4/logsig+1/tansig", "1/tansig"])
+def test_short_and_long_batch_forms_train_the_same_bits(monkeypatch, layers):
+    # The same 300-row run with the workspace's plain numpy calls and with
+    # its long-batch forms: records and parameters must agree bit for bit.
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.0, 1.0, size=(300, 3))
+    T = rng.choice([-0.9, 0.9], size=(300, 1))
+    net = init_network(NetworkConfig(3, layers, seed=6))
+    results = []
+    for long_rows in (299, 301):
+        monkeypatch.setattr(network, "_LONG_ROWS", long_rows)
+        run = Trajectory(net, (X, T), params(learning_rate=0.5, max_epochs=60))
+        assert run._work.long == (long_rows <= 300)
+        records = tuple(run)
+        trained = run.network()
+        results.append((records, [a.tobytes() for a in trained.weights + trained.biases]))
+    assert len(results[0][0]) == 60
+    assert results[0] == results[1]
+
+
+class TestQuietStep:
+    """A step ignores floating-point errors in a numpy error state captured
+    once per run; the caller's own state is neither changed nor used."""
+
+    @staticmethod
+    def divergent_run():
+        return Trajectory(scalar_net(), TestTrainEpoch.BATCH, params(learning_rate=1e308))
+
+    def test_callers_error_state_is_unchanged(self):
+        with np.errstate(over="raise", under="warn"):
+            before = np.geterr()
+            self.divergent_run().step()
+            assert np.geterr() == before
+
+    def test_on_epoch_callbacks_run_in_the_callers_state(self):
+        def overflow(record, run):
+            np.float64(1e308) * 10
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            train(scalar_net(), TestTrainEpoch.BATCH, params(max_epochs=1), on_epoch=overflow)
+
+    def test_a_raising_caller_gets_the_same_record(self):
+        outside = self.divergent_run().step()
+        with np.errstate(all="raise"):
+            inside = self.divergent_run().step()
+        assert inside == outside
+        assert not inside.accepted
 
 
 class TestEvaluate:
