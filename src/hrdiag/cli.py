@@ -103,6 +103,8 @@ def _load_training_data(args) -> tuple[Dataset, bool]:
     """Training-ready dataset (normalized, targeted) plus a surrogate flag."""
     _require_one_source(args)
     if args.embedded:
+        if getattr(args, "split", False):  # the bundled data comes split 52/23
+            raise ValueError("--split applies to --data, not to --embedded")
         return prepared_embedded(args.threshold), True
     X, T = _read_csv(args)
     used_surrogate = T is None

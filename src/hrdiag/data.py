@@ -57,6 +57,16 @@ def check_finite_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """Reject anything but an int of at least ``low``, naming the field: a
+    bool is an int to Python, so it is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 def first_out_of_range(values: np.ndarray, lo, hi) -> int | None:
     """Flat (row-major) index of the first value outside [lo, hi] (bounds
     broadcast, so they may be per column), or None.  NaN counts as outside."""
@@ -267,8 +277,7 @@ def split_70_30(respondents: Respondents, seed: int) -> tuple[Respondents, Respo
     n = X.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 respondents to split, got {n}")
-    if seed < 0:  # default_rng's own message does not name the seed
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    check_integer("seed", seed, 0)  # default_rng's own message does not name the seed
     order = np.random.default_rng(seed).permutation(n)
     cut = (7 * n + 9) // 10  # ceil(0.7 n) in exact integer arithmetic
     train, test = order[:cut], order[cut:]

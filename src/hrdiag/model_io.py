@@ -37,8 +37,10 @@ class SurrogateRule:
 
     def __post_init__(self):
         check_finite_number("surrogate threshold", self.threshold)
-        check_finite_number("surrogate failure target", self.failure)
-        check_finite_number("surrogate success target", self.success)
+        for name, value, fixed in (("failure", self.failure, FAILURE_TARGET),
+                                   ("success", self.success, SUCCESS_TARGET)):
+            if value != fixed:  # the labeling applies the fixed targets alone
+                raise ValueError(f"surrogate {name} target must be {fixed}, got {value!r}")
 
 
 @dataclass

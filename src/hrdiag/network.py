@@ -10,12 +10,14 @@ buffers their caller allocates, so a training run can allocate them once.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .activations import _APPLY, _DERIV, Activation, scratch
+from .data import check_integer
 
 
 @dataclass(frozen=True)
@@ -26,10 +28,7 @@ class LayerSpec:
     activation: Activation
 
     def __post_init__(self):
-        if isinstance(self.neurons, bool) or not isinstance(self.neurons, int):
-            raise ValueError(f"neuron count must be an integer, got {self.neurons!r}")
-        if self.neurons < 1:
-            raise ValueError(f"layer needs at least 1 neuron, got {self.neurons!r}")
+        check_integer("neuron count", self.neurons, 1)
 
     @classmethod
     def parse(cls, text: str) -> "LayerSpec":
@@ -64,15 +63,10 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        dim = self.input_dim
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ValueError(f"input_dim must be a positive integer, got {dim!r}")
+        check_integer("input_dim", self.input_dim, 1)
         if len(self.layers) == 0:
             raise ValueError("need at least one layer (the output layer)")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        check_integer("seed", self.seed, 0)
 
     @property
     def output_dim(self) -> int:
@@ -203,6 +197,10 @@ class _Workspace:
         self.bias_sums = [partial(np.einsum, "ij->j") if long and spec.neurons > 1
                           else np.add.reduce for spec in layers]
         self.total = np.empty(())
+        # numpy's error state is a context variable: passes run through
+        # ``quietly`` in this copy, so overflow shows in outputs, not warnings.
+        with np.errstate(all="ignore"):
+            self.quietly = contextvars.copy_context().run
 
     def stack(self, X: np.ndarray) -> list[np.ndarray]:
         """An activation stack for the batch inputs ``X``: X itself, then one
@@ -275,8 +273,7 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError("input contains non-finite values")
     work = _Workspace(net.config, 1)
     acts = work.stack(x[np.newaxis, :])
-    with np.errstate(all="ignore"):  # overflow shows as a non-finite output
-        work.forward(net.weights, net.biases, acts)
+    work.quietly(work.forward, net.weights, net.biases, acts)
     return acts[-1][0], [a[0] for a in acts[1:]]
 
 
@@ -311,8 +308,7 @@ def _score_batch(net: Network, batch):
     X, T = as_batch_arrays(batch, net)
     work = _Workspace(net.config, X.shape[0])
     acts, residual = work.stack(X), np.empty(T.shape)
-    with np.errstate(all="ignore"):
-        mse = work.score(net.weights, net.biases, acts, T, residual)
+    mse = work.quietly(work.score, net.weights, net.biases, acts, T, residual)
     return work, acts, residual, mse
 
 
@@ -320,6 +316,5 @@ def backprop_gradients(net: Network, batch) -> tuple[Gradients, float]:
     """Gradients of the batch MSE for every weight and bias, plus that MSE."""
     work, acts, residual, mse = _score_batch(net, batch)
     grads = zero_gradients(net)
-    with np.errstate(all="ignore"):
-        work.backward(net.weights, acts, residual, grads.weights, grads.biases)
+    work.quietly(work.backward, net.weights, acts, residual, grads.weights, grads.biases)
     return grads, mse

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .activations import Activation
-from .data import Dataset, as_training_batch
+from .data import Dataset, as_training_batch, check_integer
 from .network import LayerSpec, NetworkConfig, init_network
 from .training import StoppingReason, TrainParams, accuracy_from_mse, evaluate, train
 
@@ -40,8 +40,7 @@ class GridRow:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        check_integer("epochs", self.epochs, 0)
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,7 @@ class SweepConfig:
         if not self.seeds:
             raise ValueError("no seeds given")
         for seed in self.seeds:
-            if seed < 0:
-                raise ValueError(f"seed must be non-negative, got {seed!r}")
+            check_integer("seed", seed, 0)
 
 
 # The canonical 15-row grid: hidden stacks crossed with epoch budgets.  An

@@ -25,7 +25,6 @@ never poison the parameters.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_finite_number
+from .data import check_finite_number, check_integer
 from .network import (
     Gradients,
     Network,
@@ -75,11 +74,7 @@ class TrainParams:
             raise ValueError("momentum must lie in [0, 1)")
         if self.error_goal <= 0:
             raise ValueError("error_goal must be > 0")
-        # bool is a subclass of int, so it must be excluded by name.
-        if isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, int):
-            raise ValueError(f"max_epochs must be an integer, got {self.max_epochs!r}")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
+        check_integer("max_epochs", self.max_epochs, 0)
         if not self.lr_decrease < 1 < self.lr_increase:
             raise ValueError("need lr_decrease < 1 < lr_increase")
         if self.lr_decrease <= 0:
@@ -211,10 +206,7 @@ class Trajectory:
         # A rejected epoch leaves the state, and so its gradient ``_g``,
         # unchanged; the next epoch then skips the backward pass.
         self._gradient_current = False
-        with np.errstate(all="ignore"):
-            self._score(self._cur)
-            # numpy's error state is a context variable: steps run in this copy.
-            self._quiet = contextvars.copy_context()
+        self._work.quietly(self._score, self._cur)
         self._snapshot: Network | None = net
 
     def _state(self, flat: np.ndarray) -> _State:
@@ -228,7 +220,7 @@ class Trajectory:
         """Run one full-batch update attempt, ignoring goal and budget."""
         # Divergent candidates are caught by _step's finiteness checks, so
         # overflow warnings carry no information there.
-        return self._quiet.run(self._step)
+        return self._work.quietly(self._step)
 
     def _step(self) -> EpochRecord:
         params, lr, previous = self.params, self.learning_rate, self.previous_mse

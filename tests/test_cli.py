@@ -305,6 +305,13 @@ def test_empty_output_path_is_refused_before_training(capsys, monkeypatch, argv,
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_split_with_embedded_is_refused_before_training(capsys, monkeypatch):
+    # The bundled data comes split 52/23; --split would otherwise be ignored.
+    monkeypatch.setattr(cli, "train", mock.Mock(side_effect=AssertionError("train ran")))
+    assert run(capsys, "train", "--embedded", "--split") == (
+        1, "", "error: --split applies to --data, not to --embedded\n")
+
+
 # An empty input path in each slot that names an input file: Path('') is
 # the current directory, which the user never named.
 EMPTY_INPUT_ARGV = {

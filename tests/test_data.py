@@ -12,8 +12,14 @@ from hrdiag import (
     OPERATIONAL_FACTORS,
     STRATEGIC_FACTORS,
     TACTICAL_FACTORS,
+    Activation,
+    GridRow,
+    LayerSpec,
+    NetworkConfig,
     NormalizationMap,
     QuestionnaireResponse,
+    SweepConfig,
+    TrainParams,
     aggregate_questionnaire,
     assign_surrogate_targets,
     load_csv,
@@ -502,6 +508,35 @@ class TestSplit:
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError, match="at least 2"):
             split_70_30(self.make(1), seed=0)
+
+
+_OUTPUT = (LayerSpec(1, Activation.TANSIG),)
+
+# Every count, budget and seed: a call that puts ``v`` in the field, the
+# field's name as its message gives it, and the lowest value allowed.
+INTEGER_SITES = [
+    pytest.param(lambda v: LayerSpec(v, Activation.TANSIG), "neuron count", 1, id="neurons"),
+    pytest.param(lambda v: NetworkConfig(v, _OUTPUT), "input_dim", 1, id="input_dim"),
+    pytest.param(lambda v: NetworkConfig(3, _OUTPUT, seed=v), "seed", 0, id="config-seed"),
+    pytest.param(lambda v: TrainParams(max_epochs=v), "max_epochs", 0, id="max_epochs"),
+    pytest.param(lambda v: GridRow((), v), "epochs", 0, id="grid-epochs"),
+    pytest.param(lambda v: SweepConfig([GridRow((), 1)], (1, v)), "seed", 0, id="sweep-seed"),
+    pytest.param(lambda v: split_70_30((np.ones((4, 3)), None), v), "seed", 0, id="split-seed"),
+]
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+@pytest.mark.parametrize("make, name, low", INTEGER_SITES)
+def test_every_count_and_seed_is_an_integer_at_its_bound(make, name, low, bad):
+    make(low)
+    value = {"fraction": 2.5, "bool": True, "below": low - 1}[bad]
+    if bad == "below":
+        message = f"{name} must be {'non-negative' if low == 0 else f'at least {low}'}, got {value}"
+    else:
+        message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError) as raised:
+        make(value)
+    assert str(raised.value) == message
 
 
 class TestPreparedEmbedded:

@@ -153,6 +153,9 @@ class TestLoadValidation:
         ("surrogate_target_rule", "threshold", math.nan),
         ("surrogate_target_rule", "failure", None),
         ("surrogate_target_rule", "success", False),
+        # Labeling applies the fixed -0.9/+0.9 whatever the file says.
+        ("surrogate_target_rule", "failure", -0.1),
+        ("surrogate_target_rule", "success", 0.9000000000000001),
         ("normalization", "scale", 0.0),
         ("normalization", "scale", math.inf),  # json writes Infinity
         ("normalization", "offset", math.nan),

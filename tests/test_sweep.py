@@ -106,6 +106,12 @@ class TestRunSweep:
         trained, _ = train(net, as_training_batch(dataset.training), params)
         assert abs(evaluate(trained, as_training_batch(dataset.training)) - row.train_mse[0]) < 1e-12
 
+    def test_fractional_budget_is_refused_not_reported(self, dataset):
+        # Unchecked, the 2.5 row would report the 10-epoch row's result.
+        with pytest.raises(ValueError, match="^epochs must be an integer, got 2.5$"):
+            run_sweep(SweepConfig([GridRow((), 2.5), GridRow((), 10)], (1,)), dataset,
+                      TrainParams())
+
     def test_failed_seed_marks_row_not_sweep(self, dataset, monkeypatch):
         calls = {"n": 0}
         real_train = sweep_mod.train

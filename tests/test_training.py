@@ -14,7 +14,9 @@ from hrdiag import (
     TrainingTrace,
     StoppingReason,
     accuracy_from_mse,
+    backprop_gradients,
     evaluate,
+    forward,
     init_network,
     Trajectory,
     train,
@@ -477,6 +479,45 @@ class TestQuietStep:
             inside = self.divergent_run().step()
         assert inside == outside
         assert not inside.accepted
+
+
+def _bytes(*arrays) -> bytes:
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+def _gradient_bytes(net, batch) -> bytes:
+    grads, mse = backprop_gradients(net, batch)
+    return _bytes(*grads.weights, *grads.biases, mse)
+
+
+class TestQuietOneShot:
+    """forward, evaluate and backprop_gradients run their passes in the
+    workspace's quiet context, as a training step does."""
+
+    @staticmethod
+    def saturated():
+        """A 4/logsig + 1/purelin net with weights of +-1e308, and a batch
+        for it: the forward pass overflows, and the backward pass meets
+        inf * 0 in the unbounded output layer."""
+        rng = np.random.default_rng(3)
+        config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, PURELIN)), seed=0)
+        weights, biases = ([1e308 * rng.choice([-1.0, 1.0], size=shape) for shape in shapes]
+                           for shapes in (((4, 3), (1, 4)), ((4,), (1,))))
+        batch = rng.uniform(-1.0, 1.0, (6, 3)), rng.uniform(-0.9, 0.9, (6, 1))
+        return Network(config, weights, biases), batch
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda net, batch: _bytes(*forward(net, batch[0][0])[1]), id="forward"),
+        pytest.param(lambda net, batch: _bytes(evaluate(net, batch)), id="evaluate"),
+        pytest.param(_gradient_bytes, id="backprop_gradients"),
+    ])
+    def test_a_raising_caller_gets_the_same_bytes(self, call):
+        net, batch = self.saturated()
+        quiet = call(net, batch)  # any warning fails the suite
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            assert call(net, batch) == quiet
+            assert np.geterr() == before
 
 
 class TestEvaluate:
