@@ -1,7 +1,7 @@
 """Command-line surface: train, eval, sweep, predict and score.
 
-All commands are deterministic given their flags (the seed is a flag,
-default 42).  Reports that rest on surrogate targets say so on a
+All commands are deterministic given their flags, whose defaults are the
+library's own.  Reports that rest on surrogate targets say so on a
 dedicated caveat line, since no published outcome labels exist for the
 bundled survey data.
 """
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .data import (
     RAW_MAX,
     RAW_MIN,
+    SURROGATE_THRESHOLD,
     Dataset,
     _open_path,
     aggregate_questionnaire,
@@ -39,7 +41,7 @@ from .model_io import (
     save_model,
 )
 from .network import LayerSpec, NetworkConfig, _score_batch, init_network
-from .sweep import canonical_grid, render_csv, render_table, run_sweep
+from .sweep import OUTPUT_LAYER, canonical_grid, render_csv, render_table, run_sweep
 from .tables import FACTOR_GROUPS
 from .training import TrainParams, accuracy_from_mse, evaluate, train
 
@@ -47,11 +49,6 @@ SURROGATE_CAVEAT = (
     "note: targets are surrogate labels (threshold rule on raw factor means), "
     "not observed outcomes"
 )
-
-
-def _say(args, text: str = "") -> None:
-    if not args.quiet:
-        print(text)
 
 
 def _parse_hidden(text: str) -> tuple[LayerSpec, ...]:
@@ -94,90 +91,91 @@ def _read_csv(args):
     X, T = load_csv(args.data)
     sub_one = int(np.count_nonzero(X < 1.0))
     if sub_one:
-        _say(args, f"note: {args.data}: {sub_one} input value(s) below the 1..5 questionnaire "
-                   f"scale (accepted; declared range is [{RAW_MIN:g}, {RAW_MAX:g}])")
+        print(f"note: {args.data}: {sub_one} input value(s) below the 1..5 questionnaire "
+              f"scale (accepted; declared range is [{RAW_MIN:g}, {RAW_MAX:g}])")
     return X, T
 
 
-def _load_training_data(args) -> tuple[Dataset, bool]:
-    """Training-ready dataset (normalized, targeted) plus a surrogate flag."""
+def _load_training_data(args) -> tuple[Dataset, SurrogateRule | None]:
+    """Training-ready dataset plus the surrogate rule that labeled it (None: the file's own)."""
     _require_one_source(args)
+    rule = SurrogateRule(SURROGATE_THRESHOLD if args.threshold is None else args.threshold)
     if args.embedded:
         if getattr(args, "split", False):  # the bundled data comes split 52/23
             raise ValueError("--split applies to --data, not to --embedded")
-        return prepared_embedded(args.threshold), True
+        return prepared_embedded(rule.threshold), rule
     X, T = _read_csv(args)
-    used_surrogate = T is None
-    if used_surrogate:
-        X, T = assign_surrogate_targets((X, T), args.threshold)
+    if T is None:
+        X, T = assign_surrogate_targets((X, T), rule.threshold)
+    elif args.threshold is None:
+        rule = None
+    else:
+        raise ValueError(f"--threshold is unused: {args.data} has its own targets")
     if getattr(args, "split", False):
         training, testing = split_70_30((X, T), args.seed)
     else:
         training, testing = (X, T), (X[:0], T[:0])
     training_n, nmap = normalize(training)
     testing_n, _ = normalize(testing)
-    return Dataset(training_n, testing_n, nmap), used_surrogate
+    return Dataset(training_n, testing_n, nmap), rule
 
 
 def cmd_train(args) -> int:
     _nonempty("-o", args.model_out)
-    dataset, used_surrogate = _load_training_data(args)
+    dataset, rule = _load_training_data(args)
     batch = as_training_batch(dataset.training)
 
     layers = _parse_hidden(args.hidden) + (LayerSpec.parse(args.output_layer),)
     config = NetworkConfig(3, layers, seed=args.seed)
-    params = TrainParams(
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        error_goal=args.goal,
-        max_epochs=args.epochs,
-        lr_increase=args.lr_increase,
-        lr_decrease=args.lr_decrease,
-        max_error_ratio=args.max_error_ratio,
-        adaptive=not args.no_adaptive,
-    )
+    params = TrainParams(**{field: getattr(args, field) for field in TrainParams.__match_args__})
     net = init_network(config)
     trained, trace = train(net, batch, params)
     final_mse = evaluate(trained, batch)
     if not np.isfinite(final_mse):
         raise ValueError("training diverged to a non-finite MSE")
 
-    _say(args, f"architecture: {config.label} (seed {args.seed})")
-    _say(args, f"training patterns: {batch[0].shape[0]}")
-    if args.epochs == 0:
-        _say(args, "zero-epoch run: model keeps its initial random weights")
-    _say(args, f"epochs run: {len(trace.records)} ({trace.stopping_reason.value})")
-    _say(args, f"final training MSE: {final_mse:.6f}")
-    _say(args, f"accuracy (100 - MSE): {accuracy_from_mse(final_mse):.6f}")
-    if used_surrogate:
-        _say(args, SURROGATE_CAVEAT)
+    print(f"architecture: {config.label} (seed {args.seed})")
+    print(f"training patterns: {batch[0].shape[0]}")
+    if params.max_epochs == 0:
+        print("zero-epoch run: model keeps its initial random weights")
+    print(f"epochs run: {len(trace.records)} ({trace.stopping_reason.value})")
+    print(f"final training MSE: {final_mse:.6f}")
+    print(f"accuracy (100 - MSE): {accuracy_from_mse(final_mse):.6f}")
+    if rule is not None:
+        print(SURROGATE_CAVEAT)
 
     if args.model_out is not None:
-        rule = SurrogateRule(args.threshold) if used_surrogate else None
         model = model_from_training(trained, dataset.normalization, params, final_mse, rule)
         save_model(model, args.model_out)
-        _say(args, f"model written to {args.model_out}")
+        print(f"model written to {args.model_out}")
     return 0
 
 
-def _load_eval_set(args, model) -> tuple[tuple, bool]:
-    """Raw-coordinate, targeted respondents for evaluation plus a surrogate flag."""
+def _load_eval_set(args, model) -> tuple[tuple, str]:
+    """Raw-coordinate, targeted respondents for evaluation, and their source's name."""
     _require_one_source(args)
     if args.embedded:
+        rule = model.surrogate_rule
+        if rule is None:
+            rule = SurrogateRule(SURROGATE_THRESHOLD if args.threshold is None else args.threshold)
+        elif args.threshold is not None:
+            raise ValueError(f"--threshold is unused: the model records its own, {rule.threshold}")
         raw = load_embedded()
         selected = raw.training if args.split == "train" else raw.testing
-        threshold = model.surrogate_rule.threshold if model.surrogate_rule else args.threshold
-        return assign_surrogate_targets(selected, threshold), True
+        return assign_surrogate_targets(selected, rule.threshold), args.split or "test"
+    for flag in ("split", "threshold"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies to --embedded, not to --data")
     X, T = _read_csv(args)
     if T is None:
         raise ValueError(f"{args.data}: targets required for evaluation")
-    return (X, T), False
+    return (X, T), args.data
 
 
 def cmd_eval(args) -> int:
     model = load_model(_nonempty("model", args.model))
     net = model.network
-    (X, T), used_surrogate = _load_eval_set(args, model)
+    (X, T), source = _load_eval_set(args, model)
     if model.normalization is not None:
         X = model.normalization.apply(X)
     batch = (X, T)
@@ -191,41 +189,41 @@ def cmd_eval(args) -> int:
     false_success = int(np.sum(preds & ~labels))
     false_failure = int(np.sum(~preds & labels))
 
-    _say(args, f"evaluation patterns: {X.shape[0]} ({args.split if args.embedded else args.data})")
-    _say(args, f"test MSE: {mse:.6f}")
-    _say(args, f"accuracy (100 - MSE): {accuracy_from_mse(mse):.6f}")
-    _say(args, f"confusion vs {'surrogate' if used_surrogate else 'provided'} labels: "
-               f"true success {true_success}, true failure {true_failure}, "
-               f"false success {false_success}, false failure {false_failure}")
-    if used_surrogate:
-        _say(args, SURROGATE_CAVEAT)
+    print(f"evaluation patterns: {X.shape[0]} ({source})")
+    print(f"test MSE: {mse:.6f}")
+    print(f"accuracy (100 - MSE): {accuracy_from_mse(mse):.6f}")
+    print(f"confusion vs {'surrogate' if args.embedded else 'provided'} labels: "
+          f"true success {true_success}, true failure {true_failure}, "
+          f"false success {false_success}, false failure {false_failure}")
+    if args.embedded:
+        print(SURROGATE_CAVEAT)
 
     if args.paper_validation:
         _, trace = train(net, batch, model.train_params)
-        _say(args, "validation trajectory (training continued on this data):")
+        print("validation trajectory (training continued on this data):")
         for line in trace.error_lines():
-            _say(args, line)
+            print(line)
     return 0
 
 
 def cmd_sweep(args) -> int:
     if not args.embedded and args.data is None:
         args.embedded = True  # the canonical sweep runs on the bundled data
-    dataset, used_surrogate = _load_training_data(args)
+    dataset, rule = _load_training_data(args)
     seeds = _parse_seeds(args.seeds) if args.seeds is not None else (args.seed,)
     config = canonical_grid(seeds)
-    params_base = TrainParams(momentum=args.momentum, adaptive=not args.no_adaptive)
+    params_base = TrainParams(momentum=args.momentum, adaptive=args.adaptive)
     # Opened before the grid runs, so a path open() refuses costs no training.
     with (nullcontext() if args.csv is None
           else _open_path(Path(_nonempty("--csv", args.csv)), "w", encoding="utf-8")) as out:
         rows = run_sweep(config, dataset, params_base)
-        _say(args, render_table(rows))
-        if used_surrogate:
-            _say(args, SURROGATE_CAVEAT)
+        print(render_table(rows))
+        if rule is not None:
+            print(SURROGATE_CAVEAT)
         if out is not None:
             out.write(render_csv(rows))
     if args.csv is not None:
-        _say(args, f"csv written to {args.csv}")
+        print(f"csv written to {args.csv}")
     return 0
 
 
@@ -236,7 +234,7 @@ def cmd_predict(args) -> int:
     if args.questionnaire is not None:
         values = aggregate_questionnaire(load_questionnaire_csv(
             _nonempty("--questionnaire", args.questionnaire, "a CSV path")))
-        _say(args, f"aggregates: x1={values[0]:.3f} x2={values[1]:.3f} x3={values[2]:.3f}")
+        print(f"aggregates: x1={values[0]:.3f} x2={values[1]:.3f} x3={values[2]:.3f}")
     else:
         parts = args.values.split(",")
         input_dim = model.network.config.input_dim
@@ -248,30 +246,31 @@ def cmd_predict(args) -> int:
             raise ValueError(f"malformed input values {args.values!r}") from None
 
     d = diagnose(model, values)
-    _say(args, f"label: {d.label.value}")
-    _say(args, f"raw output: {d.raw_output:.6f}")
-    _say(args, f"model training MSE: {d.train_mse:.6f}")
-    _say(args, f"accuracy (100 - MSE): {d.accuracy:.6f}")
+    print(f"label: {d.label.value}")
+    print(f"raw output: {d.raw_output:.6f}")
+    print(f"model training MSE: {d.train_mse:.6f}")
+    print(f"accuracy (100 - MSE): {d.accuracy:.6f}")
     if d.surrogate:
-        _say(args, SURROGATE_CAVEAT)
+        print(SURROGATE_CAVEAT)
     return 0
 
 
 def cmd_score(args) -> int:
     resp = load_questionnaire_csv(_nonempty("questionnaire", args.questionnaire, "a CSV path"))
     x1, x2, x3 = aggregate_questionnaire(resp)
-    _say(args, f"x1={x1:.3f} x2={x2:.3f} x3={x3:.3f}")
-    _say(args)
+    print(f"x1={x1:.3f} x2={x2:.3f} x3={x3:.3f}")
+    print()
     width = max(len(f) for factors in FACTOR_GROUPS.values() for f in factors)
     for group, factors in FACTOR_GROUPS.items():
-        _say(args, f"{group} factors (mean {resp.group_mean(group):.3f}):")
+        print(f"{group} factors (mean {resp.group_mean(group):.3f}):")
         for factor in factors:
-            _say(args, f"  {factor.ljust(width)}  {resp.scores[factor]:g}")
+            print(f"  {factor.ljust(width)}  {resp.scores[factor]:g}")
     return 0
 
 
 def _add_common(p) -> None:
-    p.add_argument("--seed", type=int, default=42, help="deterministic seed (default 42)")
+    p.add_argument("--seed", type=int, default=NetworkConfig.seed,
+                   help="deterministic seed (default %(default)s)")
     p.add_argument("--quiet", action="store_true", help="suppress non-error output")
 
 
@@ -279,23 +278,32 @@ def _add_source(p) -> None:
     _add_common(p)
     p.add_argument("--embedded", action="store_true", help="use the bundled survey tables")
     p.add_argument("--data", metavar="CSV", help="load patterns from a CSV file")
-    p.add_argument("--threshold", type=float, default=2.5,
-                   help="surrogate success threshold on raw factor means (default 2.5)")
+    p.add_argument("--threshold", type=float, help="surrogate success threshold on raw "
+                   f"factor means (default {SURROGATE_THRESHOLD})")
+
+
+def _add_train_params(p, *flags: tuple[str, str, str]) -> None:
+    """``flags``, --momentum and --no-adaptive, each with its TrainParams field's default."""
+    for flag, field, text in (*flags, ("--momentum", "momentum", "momentum")):
+        default = getattr(TrainParams, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default,
+                       help=f"{text} (default %(default)s)")
+    p.add_argument("--no-adaptive", dest="adaptive", action="store_false",
+                   help="disable the adaptive learning rate")
 
 
 def _add_train(p) -> None:
     _add_source(p)
-    p.add_argument("--hidden", default="4/logsig",
-                   help="comma-separated hidden layers, e.g. '4/logsig' or 'none' (default 4/logsig)")
-    p.add_argument("--output-layer", default="1/tansig", help="output layer spec (default 1/tansig)")
-    p.add_argument("--epochs", type=int, default=1000, help="epoch budget (default 1000)")
-    p.add_argument("--lr", type=float, default=0.01, help="initial learning rate (default 0.01)")
-    p.add_argument("--goal", type=float, default=0.01, help="error goal (default 0.01)")
-    p.add_argument("--momentum", type=float, default=0.9, help="momentum (default 0.9)")
-    p.add_argument("--no-adaptive", action="store_true", help="disable the adaptive learning rate")
-    p.add_argument("--lr-increase", type=float, default=1.05)
-    p.add_argument("--lr-decrease", type=float, default=0.7)
-    p.add_argument("--max-error-ratio", type=float, default=1.04)
+    p.add_argument("--hidden", default="4/logsig", help="comma-separated hidden layers, "
+                   "e.g. '4/logsig' or 'none' (default %(default)s)")
+    p.add_argument("--output-layer", default=OUTPUT_LAYER.label,
+                   help="output layer spec (default %(default)s)")
+    _add_train_params(p, ("--epochs", "max_epochs", "epoch budget"),
+                      ("--lr", "learning_rate", "initial learning rate"),
+                      ("--goal", "error_goal", "error goal"),
+                      ("--lr-increase", "lr_increase", "rate factor after an improving epoch"),
+                      ("--lr-decrease", "lr_decrease", "rate factor after a rejected epoch"),
+                      ("--max-error-ratio", "max_error_ratio", "MSE ratio that rejects an epoch"))
     p.add_argument("--split", action="store_true",
                    help="apply the seeded 70/30 split to --data and train on the 70%%")
     p.add_argument("-o", "--model-out", metavar="PATH", help="write the trained model as JSON")
@@ -304,8 +312,7 @@ def _add_train(p) -> None:
 def _add_eval(p) -> None:
     _add_source(p)
     p.add_argument("model", help="model JSON path")
-    p.add_argument("--split", choices=("train", "test"), default="test",
-                   help="which bundled split to evaluate (default test)")
+    p.add_argument("--split", choices=("train", "test"), help="which bundled split (default test)")
     p.add_argument("--paper-validation", action="store_true",
                    help="continue training on the evaluation data and print the "
                         "'error=... no.of epoches=...' trajectory")
@@ -315,8 +322,7 @@ def _add_sweep(p) -> None:
     _add_source(p)
     p.add_argument("--seeds", metavar="SPEC",
                    help="seed list, e.g. '1..10' or '3,5,8' (default: the --seed value)")
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--no-adaptive", action="store_true")
+    _add_train_params(p)
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
 
 
@@ -345,8 +351,8 @@ COMMANDS = {
 
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """``command``'s parser alone, or with no command the full parser.  Each
-    is built once per process and shared: callers must not modify it."""
+    """``command``'s parser, or with no command the top-level one, listing the
+    commands.  Each is built once per process and shared: callers must not modify it."""
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"hrdiag {command}")
         COMMANDS[command][1](parser)
@@ -354,20 +360,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hrdiag", description=(
         "Train, sweep and apply the HR success/failure diagnostic network."))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add) in COMMANDS.items():
-        add(sub.add_parser(name, help=help_text))
+    for name, (help_text, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # No command, an unknown one, -h or --: the full parser prints help or
-    # exits 2, so only a named command gets past parse_args.
+    # No command, an unknown one, -h or --: the top-level parser prints help
+    # or exits 2, so only a named command gets past parse_args.
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:
         # Looked up by name at each call, so a wrapped cmd_* is the one called.
-        return globals()[f"cmd_{command}"](args)
+        with redirect_stdout(io.StringIO()) if args.quiet else nullcontext():
+            return globals()[f"cmd_{command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

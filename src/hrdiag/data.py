@@ -37,6 +37,7 @@ TARGET_MAX = 1.0
 
 SUCCESS_TARGET = 0.9
 FAILURE_TARGET = -0.9
+SURROGATE_THRESHOLD = 2.5  # the default success threshold on the raw aggregates' mean
 
 CSV_COLUMNS = ("strategic", "tactical", "operational")
 CSV_TARGET_COLUMN = "target"
@@ -180,8 +181,8 @@ def _loadtxt_cells(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     head, _, body = text.partition("\n")
     header = tuple(h.strip() for h in next(csv.reader([head]), ()))
     lines = body.removesuffix("\n").split("\n")
-    if ('"' in head or header not in (CSV_COLUMNS, _CSV_TARGETED) or "" in lines or "\r" in lines
-            or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
+    if ('"' in head or "\r" in head[:-1] or header not in (CSV_COLUMNS, _CSV_TARGETED)
+            or "" in lines or "\r" in lines or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
             or max(map(len, lines)) > csv.field_size_limit()):
         raise ValueError("not a plain respondent file")
     cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
@@ -252,7 +253,8 @@ def normalize(respondents: Respondents) -> tuple[Respondents, NormalizationMap]:
     return (nmap.apply(X), T), nmap
 
 
-def assign_surrogate_targets(respondents: Respondents, threshold: float = 2.5) -> Respondents:
+def assign_surrogate_targets(respondents: Respondents,
+                             threshold: float = SURROGATE_THRESHOLD) -> Respondents:
     """Label raw respondents with the documented surrogate outcome rule.
 
     success (+0.9) when mean(strategic, tactical, operational) >= threshold,
@@ -295,7 +297,7 @@ def as_training_batch(respondents: Respondents) -> tuple[np.ndarray, np.ndarray]
     return X, T
 
 
-def prepared_embedded(threshold: float = 2.5) -> Dataset:
+def prepared_embedded(threshold: float = SURROGATE_THRESHOLD) -> Dataset:
     """Bundled data ready to train on: surrogate targets plus normalization."""
     raw = load_embedded()
     training, nmap = normalize(assign_surrogate_targets(raw.training, threshold))

@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import math
@@ -8,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrdiag import ALL_FACTORS, NetworkConfig, init_network, load_model
+from hrdiag import ALL_FACTORS, NetworkConfig, TrainParams, init_network, load_model
 from hrdiag import cli
 from hrdiag.cli import COMMANDS, build_parser, main
+from hrdiag.data import SURROGATE_THRESHOLD
 from hrdiag.network import LayerSpec, _Workspace
 from test_data import CSV_PIECES
 
@@ -312,6 +313,80 @@ def test_split_with_embedded_is_refused_before_training(capsys, monkeypatch):
         1, "", "error: --split applies to --data, not to --embedded\n")
 
 
+def test_split_with_data_is_refused(capsys, fuzz_paths):
+    # --split picks one of the bundled splits; with --data it would otherwise be ignored.
+    for split in ("train", "test"):
+        assert run(capsys, "eval", fuzz_paths["{model}"], "--data", fuzz_paths["{respondents}"],
+                   "--split", split) == (1, "", "error: --split applies to --embedded, not to --data\n")
+
+
+# A --threshold that no labels use: the model's own rule labels the bundled
+# rows, and a targeted --data file brings its own labels.
+UNUSED_THRESHOLD_ARGV = {
+    "eval-model-rule": (["eval", "{model}", "--embedded"],
+                        f"--threshold is unused: the model records its own, {SURROGATE_THRESHOLD}"),
+    "eval-data": (["eval", "{model}", "--data", "{respondents}"],
+                  "--threshold applies to --embedded, not to --data"),
+    "train-data": (["train", "--data", "{respondents}"],
+                   "--threshold is unused: {respondents} has its own targets"),
+    "sweep-data": (["sweep", "--data", "{respondents}", "--seeds", "1"],
+                   "--threshold is unused: {respondents} has its own targets"),
+}
+
+
+@pytest.mark.parametrize("argv, message", UNUSED_THRESHOLD_ARGV.values(), ids=UNUSED_THRESHOLD_ARGV)
+def test_unused_threshold_is_refused(capsys, monkeypatch, fuzz_paths, argv, message):
+    for name in ("train", "run_sweep"):
+        monkeypatch.setattr(cli, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
+    argv = [fuzz_paths.get(a, a) for a in argv]
+    message = message.replace("{respondents}", fuzz_paths["{respondents}"])
+    assert run(capsys, *argv, "--threshold", "4.5") == (1, "", f"error: {message}\n")
+
+
+def test_threshold_labels_and_is_recorded(capsys, fuzz_paths, tmp_path):
+    def confusion(*flag):
+        _, out, _ = run(capsys, "eval", fuzz_paths["{targeted}"], "--embedded", *flag)
+        return next(line for line in out.splitlines() if line.startswith("confusion"))
+
+    # A model with no recorded rule: eval labels the bundled rows with --threshold.
+    assert confusion() != confusion("--threshold", "4.5")
+    for flag, threshold in (((), SURROGATE_THRESHOLD), (("--threshold", "3"), 3.0)):
+        path = tmp_path / "m.json"
+        assert main(["train", "--embedded", "--epochs", "0", "--quiet", "-o", str(path), *flag]) == 0
+        assert load_model(path).surrogate_rule.threshold == threshold
+
+
+def test_train_flags_set_their_train_params_fields(tmp_path):
+    default, given = tmp_path / "default.json", tmp_path / "given.json"
+    assert main(["train", "--embedded", "--quiet", "-o", str(default)]) == 0
+    assert asdict(load_model(default).train_params) == asdict(TrainParams())
+    flags = ["--epochs", "3", "--lr", "0.02", "--goal", "0.005", "--momentum", "0.5",
+             "--no-adaptive", "--lr-increase", "1.1", "--lr-decrease", "0.5",
+             "--max-error-ratio", "1.5"]
+    assert main(["train", "--embedded", "--quiet", "-o", str(given), *flags]) == 0
+    assert asdict(load_model(given).train_params) == asdict(TrainParams(
+        learning_rate=0.02, momentum=0.5, error_goal=0.005, max_epochs=3, lr_increase=1.1,
+        lr_decrease=0.5, max_error_ratio=1.5, adaptive=False))
+
+
+# A run of each command that prints to stdout.
+LOUD_ARGV = {
+    "train": ["train", "--embedded", "--epochs", "5"],
+    "eval": ["eval", "{model}", "--embedded"],
+    "sweep": ["sweep", "--seeds", "1"],
+    "predict": ["predict", "{model}", "3,3,3"],
+    "score": ["score", "{questionnaire}"],
+}
+
+
+@pytest.mark.parametrize("argv", LOUD_ARGV.values(), ids=LOUD_ARGV)
+def test_quiet_prints_nothing_and_changes_nothing_else(capsys, fuzz_paths, argv):
+    argv = [fuzz_paths.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert out != ""
+    assert run(capsys, *argv, "--quiet") == (code, "", err)
+
+
 # An empty input path in each slot that names an input file: Path('') is
 # the current directory, which the user never named.
 EMPTY_INPUT_ARGV = {
@@ -422,11 +497,13 @@ def test_model_config_matches_flags(model_path):
 
 
 class TestParser:
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_command_parser_help_matches_subparser(self, command):
-        full = build_parser()
-        sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
-        assert build_parser(command).format_help() == sub.choices[command].format_help()
+    def test_top_level_help_lists_every_command_with_its_help_line(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["-h"])
+        assert exit_info.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, (help_text, _) in COMMANDS.items():
+            assert any(re.fullmatch(rf"\s+{name}\s+{re.escape(help_text)}", line) for line in lines)
 
     @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-command", "unknown-command"])
     def test_missing_or_unknown_command_exits_2_with_top_level_usage(self, capsys, argv):

@@ -412,6 +412,7 @@ def load_outcome(path):
 @example(generated=("Strategic,tactical,operational\n1,2,3\n", False))
 @example(generated=("strategic,tactical,operational,target\n1,2,3\n", False))
 @example(generated=("strategic,tactical,operational\n1,2,\x1c3\n", False))
+@example(generated=("strategic,tactical,operational\r\r\n1,2,3\n", False))
 def test_loadtxt_pass_matches_row_reader(csv_path, generated):
     # Whatever the text, load_csv gives the same X and T, bytes and layout
     # included, or the same message, as when the loadtxt pass refuses every
