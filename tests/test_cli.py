@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -497,6 +498,19 @@ def test_model_config_matches_flags(model_path):
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_parser_help_matches_subparser(self, capsys, command):
+        # The top-level subparser only names the command; its help is the
+        # command's own parser's, printed under the same prog.
+        full = build_parser()
+        sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+        parser = build_parser(command)
+        assert sub.choices[command].prog == parser.prog
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == parser.format_help()
+
     def test_top_level_help_lists_every_command_with_its_help_line(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["-h"])
