@@ -180,8 +180,8 @@ def cmd_eval(args) -> int:
         X = model.normalization.apply(X)
     batch = (X, T)
 
-    _, acts, _, mse = _score_batch(net, batch)
-    outputs = acts[-1][:, 0]
+    work, mse = _score_batch(net, batch)
+    outputs = work.acts[-1][:, 0]
     labels = T[:, 0] >= 0
     preds = outputs >= 0
     true_success = int(np.sum(preds & labels))
@@ -210,8 +210,7 @@ def cmd_sweep(args) -> int:
     if not args.embedded and args.data is None:
         args.embedded = True  # the canonical sweep runs on the bundled data
     dataset, rule = _load_training_data(args)
-    seeds = _parse_seeds(args.seeds) if args.seeds is not None else (args.seed,)
-    config = canonical_grid(seeds)
+    config = canonical_grid(_parse_seeds(args.seeds))
     params_base = TrainParams(momentum=args.momentum, adaptive=args.adaptive)
     # Opened before the grid runs, so a path open() refuses costs no training.
     with (nullcontext() if args.csv is None
@@ -268,14 +267,7 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _add_common(p) -> None:
-    p.add_argument("--seed", type=int, default=NetworkConfig.seed,
-                   help="deterministic seed (default %(default)s)")
-    p.add_argument("--quiet", action="store_true", help="suppress non-error output")
-
-
 def _add_source(p) -> None:
-    _add_common(p)
     p.add_argument("--embedded", action="store_true", help="use the bundled survey tables")
     p.add_argument("--data", metavar="CSV", help="load patterns from a CSV file")
     p.add_argument("--threshold", type=float, help="surrogate success threshold on raw "
@@ -294,6 +286,8 @@ def _add_train_params(p, *flags: tuple[str, str, str]) -> None:
 
 def _add_train(p) -> None:
     _add_source(p)
+    p.add_argument("--seed", type=int, default=NetworkConfig.seed,
+                   help="deterministic seed (default %(default)s)")
     p.add_argument("--hidden", default="4/logsig", help="comma-separated hidden layers, "
                    "e.g. '4/logsig' or 'none' (default %(default)s)")
     p.add_argument("--output-layer", default=OUTPUT_LAYER.label,
@@ -320,14 +314,13 @@ def _add_eval(p) -> None:
 
 def _add_sweep(p) -> None:
     _add_source(p)
-    p.add_argument("--seeds", metavar="SPEC",
-                   help="seed list, e.g. '1..10' or '3,5,8' (default: the --seed value)")
+    p.add_argument("--seeds", metavar="SPEC", default=str(NetworkConfig.seed),
+                   help="seed list, e.g. '1..10' or '3,5,8' (default %(default)s)")
     _add_train_params(p)
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
 
 
 def _add_predict(p) -> None:
-    _add_common(p)
     p.add_argument("model", help="model JSON path")
     p.add_argument("values", nargs="?",
                    help="three comma-separated raw aggregates, e.g. '3.5,2.0,4.0'")
@@ -335,7 +328,6 @@ def _add_predict(p) -> None:
 
 
 def _add_score(p) -> None:
-    _add_common(p)
     p.add_argument("questionnaire", help="CSV with header factor_id,score")
 
 
@@ -354,7 +346,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """``command``'s parser, or with no command the top-level one, listing the
     commands.  Each is built once per process and shared: callers must not modify it."""
     if command is not None:
-        parser = argparse.ArgumentParser(prog=f"hrdiag {command}")
+        # No prefix matching: sweep would otherwise read --seed as --seeds.
+        parser = argparse.ArgumentParser(prog=f"hrdiag {command}", allow_abbrev=False)
+        parser.add_argument("--quiet", action="store_true", help="suppress non-error output")
         COMMANDS[command][1](parser)
         return parser
     parser = argparse.ArgumentParser(prog="hrdiag", description=(

@@ -5,7 +5,8 @@ mutates a :class:`Network` or :class:`Gradients` in place, and identical
 inputs produce bit-identical outputs.  Batch reductions use a fixed
 summation order, so results are reproducible across runs.  Underneath,
 one forward and one backward pass (:class:`_Workspace`) write into
-buffers their caller allocates, so a training run can allocate them once.
+buffers the workspace allocates for its batch, so a training run
+allocates them once.
 """
 
 from __future__ import annotations
@@ -163,20 +164,23 @@ _LONG_ROWS = 256
 
 
 class _Workspace:
-    """Scratch buffers for one network configuration on batches of ``rows``
-    rows, allocated here and reused by every pass.
+    """The buffers of one network configuration on the batch inputs ``X``,
+    allocated here and reused by every pass.
 
-    Layer k owns one :func:`~hrdiag.activations.scratch` triple of shape
+    ``acts`` is the batch's one activation stack: X itself, then one
+    (rows, neurons) array per layer; ``residual`` holds Y - T.  Layer k
+    also owns one :func:`~hrdiag.activations.scratch` triple of shape
     (rows, neurons).  The forward pass uses it for the transfer function's
     temporaries and the backward pass for that layer's delta and
     activation derivative; the output layer's second buffer also holds
     the squared residuals of the MSE.  Passes run one at a time, so the
-    sharing is safe.  Activation stacks (:meth:`stack`) and residuals
-    belong to the caller, who may keep several.
+    sharing is safe.
     """
 
-    def __init__(self, config: NetworkConfig, rows: int):
-        self.layers = layers = config.layers
+    def __init__(self, config: NetworkConfig, X: np.ndarray):
+        layers, rows = config.layers, X.shape[0]
+        self.acts = [X] + [np.empty((rows, spec.neurons)) for spec in layers]
+        self.residual = np.empty((rows, config.output_dim))
         self.work = [scratch((rows, spec.neurons)) for spec in layers]
         # Each layer's in-place transfer function and derivative, looked up once.
         self.applies = [_APPLY[spec.activation] for spec in layers]
@@ -202,13 +206,9 @@ class _Workspace:
         with np.errstate(all="ignore"):
             self.quietly = contextvars.copy_context().run
 
-    def stack(self, X: np.ndarray) -> list[np.ndarray]:
-        """An activation stack for the batch inputs ``X``: X itself, then one
-        unfilled (rows, neurons) array per layer."""
-        return [X] + [np.empty((X.shape[0], spec.neurons)) for spec in self.layers]
-
-    def forward(self, weights, biases, acts) -> None:
+    def forward(self, weights, biases) -> None:
         """Fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
+        acts = self.acts
         for k, apply in enumerate(self.applies):
             z, W, copy = acts[k + 1], weights[k].T, self.weights_t[k]
             if copy is not None:
@@ -218,27 +218,28 @@ class _Workspace:
             self.bias_add(z, biases[k], out=z)
             apply(z, self.work[k])
 
-    def score(self, weights, biases, acts, T, residual) -> float:
+    def score(self, weights, biases, T) -> float:
         """Forward pass, then the batch MSE against ``T``.  The residual
         Y - T is left in ``residual`` for :meth:`backward`."""
-        self.forward(weights, biases, acts)
-        squares = self.work[-1][1]
-        np.subtract(acts[-1], T, out=residual)
+        self.forward(weights, biases)
+        squares, residual = self.work[-1][1], self.residual
+        np.subtract(self.acts[-1], T, out=residual)
         np.square(residual, out=squares)
         # The same sum and division as np.mean, without its per-call overhead.
         np.add.reduce(squares, axis=None, out=self.total)
         return float(self.total) / squares.size
 
-    def backward(self, weights, acts, residual, grad_w, grad_b) -> None:
+    def backward(self, weights, grad_w, grad_b) -> None:
         """Write the batch-MSE gradients of every weight and bias into the
-        ``grad_w``/``grad_b`` arrays, given a scored activation stack.
+        ``grad_w``/``grad_b`` arrays, given the activations and residual of
+        the last :meth:`score` under ``weights``.
 
         Standard backpropagation: the output-layer delta is the MSE
         derivative times the activation derivative (written in the
         activation output), and deltas chain backwards through the weight
         matrices.
         """
-        work, derivs = self.work, self.derivs
+        work, derivs, acts, residual = self.work, self.derivs, self.acts, self.residual
         delta, deriv, _ = work[-1]
         np.multiply(residual, 2.0 / residual.size, out=delta)
         derivs[-1](acts[-1], deriv)
@@ -271,10 +272,9 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError(f"input has length {x.size}, expected {net.config.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
-    work = _Workspace(net.config, 1)
-    acts = work.stack(x[np.newaxis, :])
-    work.quietly(work.forward, net.weights, net.biases, acts)
-    return acts[-1][0], [a[0] for a in acts[1:]]
+    work = _Workspace(net.config, x[np.newaxis, :])
+    work.quietly(work.forward, net.weights, net.biases)
+    return work.acts[-1][0], [a[0] for a in work.acts[1:]]
 
 
 def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -303,18 +303,16 @@ def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
 
 def _score_batch(net: Network, batch):
     """Validate an (X, T) batch and score it in one forward pass, quietly as
-    in training: the workspace, the activation stack (entry 0 is X), the
-    residual Y - T and the batch MSE."""
+    in training: the workspace, whose ``acts`` and ``residual`` now hold the
+    batch's activations and Y - T, and the batch MSE."""
     X, T = as_batch_arrays(batch, net)
-    work = _Workspace(net.config, X.shape[0])
-    acts, residual = work.stack(X), np.empty(T.shape)
-    mse = work.quietly(work.score, net.weights, net.biases, acts, T, residual)
-    return work, acts, residual, mse
+    work = _Workspace(net.config, X)
+    return work, work.quietly(work.score, net.weights, net.biases, T)
 
 
 def backprop_gradients(net: Network, batch) -> tuple[Gradients, float]:
     """Gradients of the batch MSE for every weight and bias, plus that MSE."""
-    work, acts, residual, mse = _score_batch(net, batch)
+    work, mse = _score_batch(net, batch)
     grads = zero_gradients(net)
-    work.quietly(work.backward, net.weights, acts, residual, grads.weights, grads.biases)
+    work.quietly(work.backward, net.weights, grads.weights, grads.biases)
     return grads, mse

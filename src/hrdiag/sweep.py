@@ -69,7 +69,7 @@ _CANONICAL_FAMILIES: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...] = (
 )
 
 
-def canonical_grid(seeds: tuple[int, ...] = (42,)) -> SweepConfig:
+def canonical_grid(seeds: tuple[int, ...] = (NetworkConfig.seed,)) -> SweepConfig:
     """The standard 15-row grid over 1/tansig .. 4/logsig+1/tansig networks."""
     return SweepConfig([GridRow(tuple(map(LayerSpec.parse, specs)), epochs)
                         for specs, budgets in _CANONICAL_FAMILIES for epochs in budgets], seeds)

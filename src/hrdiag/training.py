@@ -26,7 +26,7 @@ never poison the parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -133,7 +133,7 @@ def evaluate(net: Network, batch) -> float:
     A saturated net is scored quietly, as in training: overflow shows up
     as a non-finite or saturated MSE, not as a numpy warning.
     """
-    return _score_batch(net, batch)[-1]
+    return _score_batch(net, batch)[1]
 
 
 def _layer_views(flat: np.ndarray, config: NetworkConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -155,14 +155,11 @@ def _flat(weights, biases) -> np.ndarray:
 
 
 class _State(NamedTuple):
-    """A parameter vector with its per-layer views, and the activation
-    stack and residual of the batch under those parameters."""
+    """A flat parameter vector with its per-layer views."""
 
     flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    acts: list[np.ndarray]
-    residual: np.ndarray
 
 
 class Trajectory:
@@ -176,18 +173,18 @@ class Trajectory:
 
     The batch is validated once, and every array an epoch touches is
     allocated here, once per run: O(rows x layer widths) floats in all.
-    Two states, current and candidate, each hold a flat parameter vector
-    with per-layer views, an activation stack and the residual Y - T; an
-    accepted candidate swaps the two.  Velocity and gradient are flat
-    vectors too, and the passes share one :class:`_Workspace`.  Each
-    epoch runs one forward pass, the candidate's re-scoring; its
-    activations and residual feed the next epoch's gradient if the
-    candidate is accepted, and the current ones, with their gradient, are
-    kept if it is rejected, since the network is then unchanged.
+    Two parameter states, current and candidate, each hold a flat vector
+    with per-layer views; an accepted candidate swaps the two.  Velocity
+    and gradient are flat vectors too.  One :class:`_Workspace` holds the
+    batch's one activation stack and residual, and each epoch runs one
+    forward pass into it, the candidate's re-scoring.  If the candidate
+    is accepted, those activations feed the next epoch's gradient; if it
+    is rejected, the network is unchanged and so is its gradient, which
+    the next epoch reuses without reading the stack.
     """
 
     def __init__(self, net: Network, batch, params: TrainParams):
-        self._X, self._T = as_batch_arrays(batch, net)
+        X, self._T = as_batch_arrays(batch, net)
         self._config = net.config
         self.params = params
         self.learning_rate = params.learning_rate
@@ -195,26 +192,24 @@ class Trajectory:
         self.epoch = 0
         self.stopping_reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
 
-        self._work = _Workspace(net.config, self._X.shape[0])
+        self._work = _Workspace(net.config, X)
         p = _flat(net.weights, net.biases)
-        self._cur = self._state(p)
-        self._next = self._state(np.empty_like(p))
+        self._cur, self._next = (_State(flat, *_layer_views(flat, net.config))
+                                 for flat in (p, np.empty_like(p)))
         self._v = np.zeros_like(p)
         self._delta, self._g, self._scratch = (np.empty_like(p) for _ in range(3))
         self._grad_w, self._grad_b = _layer_views(self._g, net.config)
         self._finite = np.empty(p.shape, dtype=bool)
-        # A rejected epoch leaves the state, and so its gradient ``_g``,
-        # unchanged; the next epoch then skips the backward pass.
+        # Whenever this is False the workspace's stack and residual hold the
+        # current state's activations.  A rejected epoch leaves the state,
+        # and so its gradient ``_g``, unchanged: it sets this, and the next
+        # epoch skips the backward pass.
         self._gradient_current = False
         self._work.quietly(self._score, self._cur)
         self._snapshot: Network | None = net
 
-    def _state(self, flat: np.ndarray) -> _State:
-        return _State(flat, *_layer_views(flat, self._config), self._work.stack(self._X),
-                      np.empty(self._T.shape))
-
     def _score(self, state: _State) -> float:
-        return self._work.score(state.weights, state.biases, state.acts, self._T, state.residual)
+        return self._work.score(state.weights, state.biases, self._T)
 
     def step(self) -> EpochRecord:
         """Run one full-batch update attempt, ignoring goal and budget."""
@@ -226,7 +221,7 @@ class Trajectory:
         params, lr, previous = self.params, self.learning_rate, self.previous_mse
         cur, cand = self._cur, self._next
         if not self._gradient_current:
-            self._work.backward(cur.weights, cur.acts, cur.residual, self._grad_w, self._grad_b)
+            self._work.backward(cur.weights, self._grad_w, self._grad_b)
         np.multiply(self._v, params.momentum, out=self._delta)
         np.multiply(self._g, lr, out=self._scratch)
         np.subtract(self._delta, self._scratch, out=self._delta)
@@ -296,14 +291,11 @@ def train_epoch(
     Returns the possibly-updated network, the new velocity, the learning
     rate for the next epoch, the reported MSE and the acceptance flag.
     """
-    check_finite_number("learning_rate", learning_rate)
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be > 0")
-    if previous_mse is not None and not previous_mse >= 0:
-        raise ValueError(f"previous_mse must be >= 0, got {previous_mse!r}")
+    if previous_mse is not None:
+        _check_mse("previous_mse", previous_mse)
     velocity.check_congruent(net)
-    run = Trajectory(net, batch, params)
-    run.learning_rate, run.previous_mse = learning_rate, previous_mse
+    run = Trajectory(net, batch, replace(params, learning_rate=learning_rate))
+    run.previous_mse = previous_mse
     run._v[:] = _flat(velocity.weights, velocity.biases)
     record = run.step()
     return EpochStep(run.network(), Gradients(*_layer_views(run._v.copy(), net.config)),
@@ -334,9 +326,17 @@ def accuracy_from_mse(mse: float) -> float:
     This is a linear remapping of the error, not a classification rate; it
     is kept because the diagnostic reports express quality this way.
     """
-    if not mse >= 0:
-        raise ValueError(f"mse must be >= 0, got {mse!r}")
+    _check_mse("mse", mse)
     return max(0.0, 100.0 - mse)
+
+
+def _check_mse(name: str, value) -> None:
+    """Refuse an MSE that is not a number >= 0, naming the field; +inf
+    passes, since a first-epoch rejection reports it."""
+    if value != math.inf:
+        check_finite_number(name, value)
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 __all__ = [

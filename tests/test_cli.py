@@ -452,12 +452,18 @@ class TestSweep:
             assert len(per_seed) == 2
             assert float(r["mse_mean"]) == pytest.approx(sum(per_seed) / 2, rel=1e-15)
 
-    @pytest.mark.parametrize("seeds, bad", [(("--seed", "-1"), -1), (("--seeds=-2..-1",), -2),
-                                            (("--seeds", "3,-1"), -1)], ids=["seed", "range", "list"])
+    @pytest.mark.parametrize("seeds, bad", [(("--seeds=-2..-1",), -2), (("--seeds", "3,-1"), -1)],
+                             ids=["range", "list"])
     def test_negative_seed_rejected(self, capsys, seeds, bad):
         code, out, err = run(capsys, "sweep", *seeds)
         assert code == 1 and out == ""
         assert err == f"error: seed must be non-negative, got {bad}\n"
+
+    def test_default_seeds_are_the_network_seed(self, capsys, tmp_path):
+        paths = [tmp_path / "default.csv", tmp_path / "42.csv"]
+        assert main(["sweep", "--quiet", "--csv", str(paths[0])]) == 0
+        assert main(["sweep", "--quiet", "--seeds", "42", "--csv", str(paths[1])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.parametrize("spec", ["1.5", "1..3..5", "9..1"])
     def test_bad_seed_spec_names_the_flag_and_its_syntax(self, capsys, spec):
@@ -467,7 +473,7 @@ class TestSweep:
 
     def test_empty_seed_spec_is_refused_not_replaced_by_seed(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
-        code, out, err = run(capsys, "sweep", "--seeds", "", "--seed", "7", "--quiet")
+        code, out, err = run(capsys, "sweep", "--seeds", "", "--quiet")
         assert code == 1 and out == ""
         assert err == "error: --seeds must be N, N,M,... or A..B with A <= B, got ''\n"
 
@@ -545,9 +551,21 @@ class TestParser:
             return 7
 
         monkeypatch.setattr(cli, "cmd_predict", stub)
-        assert main(["predict", str(model_path), "1,2,3", "--seed", "5"]) == 7
+        assert main(["predict", str(model_path), "1,2,3", "--quiet"]) == 7
         assert main(["predict", str(model_path), "1,2,3"]) == 7
-        assert [args.seed for args in seen] == [5, 42]  # a fresh namespace per call
+        assert [args.quiet for args in seen] == [True, False]  # a fresh namespace per call
+
+    @pytest.mark.parametrize("argv", [["eval", "m.json", "--embedded"], ["sweep"],
+                                      ["predict", "m.json", "1,2,3"], ["score", "q.csv"]],
+                             ids=["eval", "sweep", "predict", "score"])
+    def test_seed_is_train_only(self, capsys, argv):
+        # Only train reads a seed; sweep takes its seeds from --seeds.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", "7"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: hrdiag {argv[0]} ")
+        assert err.endswith(f"hrdiag {argv[0]}: error: unrecognized arguments: --seed 7\n")
 
     def test_unrecognized_argument_exits_2_with_command_usage(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

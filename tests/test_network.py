@@ -184,11 +184,11 @@ def test_bias_gradient_is_the_axis0_reduce_of_delta(rows, cols, seed, spread, sp
     residual = np.ldexp(rng.standard_normal((rows, cols)), exponents)
     for at, value in specials:
         residual.flat[at % residual.size] = value
-    work = _Workspace(NetworkConfig(1, (LayerSpec(cols, PURELIN),)), rows)
-    acts = [np.ones((rows, 1)), np.zeros((rows, cols))]
+    work = _Workspace(NetworkConfig(1, (LayerSpec(cols, PURELIN),)), np.ones((rows, 1)))
+    work.acts[1][:], work.residual[:] = 0.0, residual
     grad_w, grad_b = [np.empty((cols, 1))], [np.empty(cols)]
     with np.errstate(all="ignore"):
-        work.backward([np.zeros((cols, 1))], acts, residual, grad_w, grad_b)
+        work.backward([np.zeros((cols, 1))], grad_w, grad_b)
         want = np.add.reduce(work.work[0][0], axis=0)  # the output delta
     assert grad_b[0].tobytes() == want.tobytes()
 
@@ -214,11 +214,12 @@ def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
     for in_weights, at, value in specials:
         target = W if in_weights else residual
         target.flat[at % target.size] = value
-    work = _Workspace(NetworkConfig(1, (LayerSpec(cols, PURELIN), LayerSpec(1, PURELIN))), rows)
-    acts = [np.ones((rows, 1)), np.zeros((rows, cols)), np.zeros((rows, 1))]
+    work = _Workspace(NetworkConfig(1, (LayerSpec(cols, PURELIN), LayerSpec(1, PURELIN))),
+                      np.ones((rows, 1)))
+    work.acts[1][:], work.acts[2][:], work.residual[:] = 0.0, 0.0, residual
     grad_w, grad_b = [np.empty((cols, 1)), np.empty((1, cols))], [np.empty(cols), np.empty(1)]
     with np.errstate(all="ignore"):
-        work.backward([np.zeros((cols, 1)), W], acts, residual, grad_w, grad_b)
+        work.backward([np.zeros((cols, 1)), W], grad_w, grad_b)
         want = np.matmul(work.work[1][0], W)  # the output delta, handed back
     assert work.work[0][0].tobytes() == want.tobytes()
 
@@ -255,13 +256,12 @@ def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, se
     for where, at, value in specials:
         target = [X, *weights][where % (1 + len(weights))]
         target.flat[at % target.size] = value
-    work = _Workspace(NetworkConfig(widths[0], layers), rows)
-    acts = work.stack(X)
+    work = _Workspace(NetworkConfig(widths[0], layers), X)
     exact = True
     with np.errstate(all="ignore"):
-        work.forward(weights, biases, acts)
+        work.forward(weights, biases)
         want = X
-        for got, W, b, spec in zip(acts[1:], weights, biases, layers):
+        for got, W, b, spec in zip(work.acts[1:], weights, biases, layers):
             a = want[:, np.newaxis, :]
             products = a * W
             # Where a product of non-zero factors underflows, or two NaNs

@@ -138,6 +138,19 @@ class TestTrainEpoch:
         with pytest.raises(ValueError, match="learning_rate"):
             train_epoch(net, zero_gradients(net), self.BATCH, params(), lr, previous_mse=1.0)
 
+    @pytest.mark.parametrize("previous", [True, 10 ** 400, -0.5, math.nan, "x"],
+                             ids=["bool", "huge-int", "negative", "nan", "str"])
+    def test_rejects_a_previous_mse_that_is_not_an_mse(self, previous):
+        net = scalar_net()
+        with pytest.raises(ValueError, match="previous_mse"):
+            train_epoch(net, zero_gradients(net), self.BATCH, params(), 0.5, previous)
+
+    def test_accepts_an_infinite_previous_mse(self):
+        # A rejected first epoch reports inf, which the next epoch is handed.
+        net = scalar_net()
+        step = train_epoch(net, zero_gradients(net), self.BATCH, params(), 0.25, math.inf)
+        assert step.accepted and step.mse == 0.0  # w = b = 0.5 hits the target
+
 
 class TestTrain:
     def test_zero_epochs(self):
@@ -410,14 +423,40 @@ def test_backward_runs_once_per_epoch_after_an_accepted_one():
     assert calls == [1] + [r.epoch + 1 for r in records[:-1] if r.accepted]
 
 
+LARGE_ROWS = 20_000
+
+
+def large_run_inputs():
+    """A 20,000-row batch and a 4/logsig + 1/tansig network for it."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, size=(LARGE_ROWS, 3))
+    T = rng.choice([-0.9, 0.9], size=(LARGE_ROWS, 1))
+    config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=2)
+    return init_network(config), (X, T)
+
+
+def test_a_run_allocates_one_activation_stack():
+    # A run's batch-sized arrays are its workspace's: per layer a scratch
+    # triple (two float64 arrays and a bool mask), one activation stack and
+    # one residual.  Less than one (rows, 4) array is left for the rest.
+    net, batch = large_run_inputs()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        Trajectory(net, batch, params(max_epochs=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layer_cells = LARGE_ROWS * sum(spec.neurons for spec in net.config.layers)
+    scratch, stack = layer_cells * (8 + 8 + 1), layer_cells * 8
+    residual = LARGE_ROWS * net.config.output_dim * 8
+    assert peak - base < scratch + stack + residual + LARGE_ROWS * 4 * 8
+
+
 def test_epochs_allocate_no_batch_sized_arrays():
     # After warm-up an epoch writes only into buffers allocated by the
     # Trajectory.  The bound is one 20,000 x 1 float64 column.
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-1.0, 1.0, size=(20_000, 3))
-    T = rng.choice([-0.9, 0.9], size=(20_000, 1))
-    config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=2)
-    run = Trajectory(init_network(config), (X, T), params(max_epochs=100))
+    run = Trajectory(*large_run_inputs(), params(max_epochs=100))
     run.step()
     tracemalloc.start()
     try:
@@ -427,7 +466,7 @@ def test_epochs_allocate_no_batch_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base < 20_000 * 8
+    assert peak - base < LARGE_ROWS * 8
 
 
 @pytest.mark.parametrize("layers", [(LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)),
@@ -563,8 +602,15 @@ class TestAccuracyFromMse:
     def test_bounds(self):
         assert accuracy_from_mse(0.0) == 100.0
         assert accuracy_from_mse(250.0) == 0.0
+        assert accuracy_from_mse(math.inf) == 0.0  # a rejected first epoch's MSE
         with pytest.raises(ValueError):
             accuracy_from_mse(-0.1)
+
+    @pytest.mark.parametrize("mse", [True, 10 ** 400, math.nan, "x"],
+                             ids=["bool", "huge-int", "nan", "str"])
+    def test_rejects_what_is_not_an_mse_by_name(self, mse):
+        with pytest.raises(ValueError, match="^mse "):
+            accuracy_from_mse(mse)
 
 
 class TestTrainParams:
