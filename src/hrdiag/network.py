@@ -54,6 +54,15 @@ class LayerSpec:
         return f"{self.neurons}/{self.activation.value}"
 
 
+def check_layers(layers) -> tuple[LayerSpec, ...]:
+    """``layers`` as a tuple, refusing any entry that is not a :class:`LayerSpec`."""
+    layers = tuple(layers)
+    for k, spec in enumerate(layers):
+        if not isinstance(spec, LayerSpec):
+            raise ValueError(f"layer {k} must be a LayerSpec, got {spec!r}")
+    return layers
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Layer specification: hidden layers followed by exactly one output layer."""
@@ -63,7 +72,7 @@ class NetworkConfig:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "layers", check_layers(self.layers))
         check_integer("input_dim", self.input_dim, 1)
         if len(self.layers) == 0:
             raise ValueError("need at least one layer (the output layer)")

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .activations import Activation
 from .data import Dataset, as_training_batch, check_integer
-from .network import LayerSpec, NetworkConfig, init_network
+from .network import LayerSpec, NetworkConfig, check_layers, init_network
 from .training import StoppingReason, TrainParams, accuracy_from_mse, evaluate, train
 
 
@@ -39,7 +39,7 @@ class GridRow:
     epochs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
+        object.__setattr__(self, "hidden_layers", check_layers(self.hidden_layers))
         check_integer("epochs", self.epochs, 0)
 
 
@@ -77,35 +77,25 @@ def canonical_grid(seeds: tuple[int, ...] = (NetworkConfig.seed,)) -> SweepConfi
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Results of one grid row across all seeds.
-
-    Per-seed entries are None where that seed's training failed; the
-    matching error message sits in ``errors``.
-    """
+    """Results of one grid row across all seeds.  ``test_mse`` entries are
+    None when the dataset has no test rows."""
 
     label: str
     epochs: int
     error_goal: float
     learning_rate: float
     seeds: tuple[int, ...]
-    train_mse: tuple[float | None, ...]
+    train_mse: tuple[float, ...]
     test_mse: tuple[float | None, ...]
-    stopping_reasons: tuple[str | None, ...]
-    errors: tuple[str | None, ...]
+    stopping_reasons: tuple[str, ...]
 
     @property
-    def failed(self) -> bool:
-        return all(m is None for m in self.train_mse)
+    def mean_mse(self) -> float:
+        return sum(self.train_mse) / len(self.train_mse)
 
     @property
-    def mean_mse(self) -> float | None:
-        ok = [m for m in self.train_mse if m is not None]
-        return sum(ok) / len(ok) if ok else None
-
-    @property
-    def min_mse(self) -> float | None:
-        ok = [m for m in self.train_mse if m is not None]
-        return min(ok) if ok else None
+    def min_mse(self) -> float:
+        return min(self.train_mse)
 
     @property
     def mean_test_mse(self) -> float | None:
@@ -120,10 +110,9 @@ class SweepRow:
 class _Outcome(NamedTuple):
     """One seed's result for one grid row."""
 
-    train_mse: float | None
+    train_mse: float
     test_mse: float | None
-    stopping_reason: str | None
-    error: str | None
+    stopping_reason: str
 
 
 def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict[int, _Outcome]:
@@ -131,29 +120,25 @@ def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict
     each budget as the trajectory reaches it.
 
     A budget the run stops short of (the goal was reached first) gets the
-    final result, as a separate run of that budget would.  If anything
-    raises, every budget not settled by then fails with its message.
+    final result, as a separate run of that budget would.  Whatever the
+    training raises propagates unchanged.
     """
     settled: dict[int, _Outcome] = {}
 
     def settle(budget, net, mse, reason):
         test_mse = evaluate(net, test_batch) if test_batch is not None else None
-        settled[budget] = _Outcome(mse, test_mse, reason.value, None)
+        settled[budget] = _Outcome(mse, test_mse, reason.value)
 
     def at_epoch(record, trajectory):
         if record.epoch in budgets:
             settle(record.epoch, trajectory.network(), record.mse, trajectory.stopping_reason)
 
-    try:
-        net = init_network(NetworkConfig(3, layers, seed=seed))
-        if 0 in budgets:
-            settle(0, net, evaluate(net, train_batch), StoppingReason.EPOCH_BUDGET_EXHAUSTED)
-        trained, trace = train(net, train_batch, params, on_epoch=at_epoch)
-        for budget in budgets - settled.keys():
-            settle(budget, trained, trace.final_mse, trace.stopping_reason)
-    except Exception as exc:  # noqa: BLE001 - row failures must not kill the sweep
-        for budget in budgets - settled.keys():
-            settled[budget] = _Outcome(None, None, None, str(exc))
+    net = init_network(NetworkConfig(3, layers, seed=seed))
+    if 0 in budgets:
+        settle(0, net, evaluate(net, train_batch), StoppingReason.EPOCH_BUDGET_EXHAUSTED)
+    trained, trace = train(net, train_batch, params, on_epoch=at_epoch)
+    for budget in budgets - settled.keys():
+        settle(budget, trained, trace.final_mse, trace.stopping_reason)
     return settled
 
 
@@ -161,11 +146,9 @@ def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> l
     """Train every grid row for every seed on the dataset's training split,
     with ``params_base``'s error goal and learning rate.
 
-    Rows come back in grid order; a failing seed marks its entry failed
-    without aborting the sweep.  Deterministic given (config, data, seeds).
-    A failure part-way along a family's trajectory fails that seed's
-    entries in every row of the family whose budget had not been reached;
-    rows with smaller budgets keep their results.
+    Rows come back in grid order, complete for every seed; an exception in
+    any seed's training propagates unchanged and ends the sweep.
+    Deterministic given (config, data, seeds).
     """
     train_batch = as_training_batch(data.training)
     test_batch = as_training_batch(data.testing) if len(data.testing[0]) else None
@@ -185,15 +168,11 @@ def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> l
     rows: list[SweepRow] = []
     for cell in config.grid:
         label = NetworkConfig(3, cell.hidden_layers + (OUTPUT_LAYER,)).label
-        mses, test_mses, reasons, errors = zip(
+        mses, test_mses, reasons = zip(
             *(outcomes[cell.hidden_layers, cell.epochs, seed] for seed in config.seeds))
         rows.append(SweepRow(label, cell.epochs, params_base.error_goal, params_base.learning_rate,
-                             config.seeds, mses, test_mses, reasons, errors))
+                             config.seeds, mses, test_mses, reasons))
     return rows
-
-
-def _fmt(value: float | None, spec: str) -> str:
-    return format(value, spec) if value is not None else "-"
 
 
 def render_table(rows: list[SweepRow]) -> str:
@@ -202,24 +181,17 @@ def render_table(rows: list[SweepRow]) -> str:
         raise ValueError("no sweep rows to render")
     headers = ("configuration", "epochs", "goal", "lr", "mse mean", "mse min",
                "test mse", "accuracy %", "goal hit")
-    cells = []
-    for r in rows:
-        if r.failed:
-            cells.append((r.label, str(r.epochs), f"{r.error_goal:g}", f"{r.learning_rate:g}",
-                          "failed", "-", "-", "-", "-"))
-            continue
-        acc = accuracy_from_mse(r.mean_mse)
-        cells.append((
-            r.label,
-            str(r.epochs),
-            f"{r.error_goal:g}",
-            f"{r.learning_rate:g}",
-            _fmt(r.mean_mse, ".6f"),
-            _fmt(r.min_mse, ".6f"),
-            _fmt(r.mean_test_mse, ".6f"),
-            f"{acc:.2f}",
-            f"{r.goal_reached_count}/{len(r.seeds)}",
-        ))
+    cells = [(
+        r.label,
+        str(r.epochs),
+        f"{r.error_goal:g}",
+        f"{r.learning_rate:g}",
+        f"{r.mean_mse:.6f}",
+        f"{r.min_mse:.6f}",
+        f"{r.mean_test_mse:.6f}" if r.mean_test_mse is not None else "-",
+        f"{accuracy_from_mse(r.mean_mse):.2f}",
+        f"{r.goal_reached_count}/{len(r.seeds)}",
+    ) for r in rows]
     widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     for row in cells:
@@ -229,7 +201,12 @@ def render_table(rows: list[SweepRow]) -> str:
 
 
 def render_csv(rows: list[SweepRow]) -> str:
-    """CSV rendering with round-trip-exact numbers and per-seed detail."""
+    """CSV rendering with round-trip-exact numbers and per-seed detail.
+
+    Test-MSE cells are empty when the dataset has no test rows.  The
+    ``errors`` column, kept for the format's sake, is always empty per
+    seed: a sweep either completes or raises.
+    """
     if not rows:
         raise ValueError("no sweep rows to render")
     buf = io.StringIO()
@@ -240,20 +217,19 @@ def render_csv(rows: list[SweepRow]) -> str:
         "seeds", "mse_per_seed", "test_mse_per_seed", "stopping_reasons", "errors",
     ])
     for r in rows:
-        acc = accuracy_from_mse(r.mean_mse) if r.mean_mse is not None else None
         writer.writerow([
             r.label,
             r.epochs,
             repr(r.error_goal),
             repr(r.learning_rate),
-            repr(r.mean_mse) if r.mean_mse is not None else "",
-            repr(r.min_mse) if r.min_mse is not None else "",
+            repr(r.mean_mse),
+            repr(r.min_mse),
             repr(r.mean_test_mse) if r.mean_test_mse is not None else "",
-            repr(acc) if acc is not None else "",
+            repr(accuracy_from_mse(r.mean_mse)),
             ";".join(str(s) for s in r.seeds),
-            ";".join(repr(m) if m is not None else "" for m in r.train_mse),
+            ";".join(repr(m) for m in r.train_mse),
             ";".join(repr(m) if m is not None else "" for m in r.test_mse),
-            ";".join(s if s is not None else "" for s in r.stopping_reasons),
-            ";".join(e if e is not None else "" for e in r.errors),
+            ";".join(r.stopping_reasons),
+            ";" * (len(r.seeds) - 1),
         ])
     return buf.getvalue()

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrdiag import ALL_FACTORS, NetworkConfig, TrainParams, init_network, load_model
+from hrdiag import ALL_FACTORS, Activation, NetworkConfig, TrainParams, init_network, load_model
 from hrdiag import cli
+from hrdiag import sweep as sweep_mod
 from hrdiag.cli import COMMANDS, build_parser, main
 from hrdiag.data import SURROGATE_THRESHOLD
 from hrdiag.network import LayerSpec, _Workspace
@@ -451,6 +452,17 @@ class TestSweep:
             per_seed = [float(v) for v in r["mse_per_seed"].split(";")]
             assert len(per_seed) == 2
             assert float(r["mse_mean"]) == pytest.approx(sum(per_seed) / 2, rel=1e-15)
+
+    def test_a_failing_seed_exits_1_with_one_line(self, capsys, monkeypatch):
+        real_train = sweep_mod.train
+
+        def train_failing_for_seed_2_of_2_logsig(net, batch, params, on_epoch=None):
+            if net.config.layers[0] == LayerSpec(2, Activation.LOGSIG) and net.config.seed == 2:
+                raise ValueError("synthetic failure")
+            return real_train(net, batch, params, on_epoch=on_epoch)
+
+        monkeypatch.setattr(sweep_mod, "train", train_failing_for_seed_2_of_2_logsig)
+        assert run(capsys, "sweep", "--seeds", "1..2") == (1, "", "error: synthetic failure\n")
 
     @pytest.mark.parametrize("seeds, bad", [(("--seeds=-2..-1",), -2), (("--seeds", "3,-1"), -1)],
                              ids=["range", "list"])

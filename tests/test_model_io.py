@@ -213,6 +213,15 @@ class TestLoadValidation:
         path.write_text(json.dumps(raw))
         assert_predict_fails_with_one_line(path, capsys, message)
 
+    def test_an_integer_weight_of_2_to_the_53_loads(self, trained_model, tmp_path):
+        # The largest integer a float holds exactly; 2**53 + 1 is refused above.
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        raw = json.loads(path.read_text())
+        raw["weights"][1][0][0] = 2**53
+        path.write_text(json.dumps(raw))
+        assert load_model(path).network.weights[1][0, 0] == 2.0**53
+
     def test_deep_nesting_fails_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text("[" * 100_000)
@@ -273,6 +282,15 @@ class TestDiagnose:
             with pytest.raises(ValueError, match="non-finite output"):
                 diagnose(model, (1.0, 1.0, 1.0))
         assert [str(w.message) for w in caught] == []
+
+    def test_an_output_of_zero_is_success(self):
+        config = NetworkConfig(3, LAYERS, seed=0)
+        net = Network(config, [np.zeros((4, 3)), np.zeros((1, 4))], [np.zeros(4), np.zeros(1)])
+        model = model_from_training(net, None, TrainParams(), 0.0, None,
+                                    created_at="2026-08-09T00:00:00Z")
+        d = diagnose(model, (1.0, 1.0, 1.0))
+        assert d.raw_output == 0.0
+        assert d.label is DiagnosisLabel.SUCCESS
 
     def test_out_of_range_rejected_with_range_named(self, trained_model):
         with pytest.raises(ValueError, match=r"\[-1, 5\]"):

@@ -13,7 +13,7 @@ from hrdiag import (
     forward,
     init_network,
 )
-from hrdiag.network import _LONG_ROWS, _Workspace
+from hrdiag.network import _LONG_ROWS, _Workspace, as_batch_arrays
 
 from helpers import fd_gradients, gradient_check, random_batch, random_config
 
@@ -78,11 +78,37 @@ class TestInitNetwork:
             LayerSpec(0, TANSIG)
         with pytest.raises(ValueError, match="input_dim"):
             NetworkConfig(True, (LayerSpec(1, TANSIG),))
+        # Unchecked, a layer given as text built and failed in init_network.
+        with pytest.raises(ValueError, match="^layer 0 must be a LayerSpec, got '4/logsig'$"):
+            NetworkConfig(3, ("4/logsig",))
+        with pytest.raises(ValueError, match="^layer 1 must be a LayerSpec, got None$"):
+            NetworkConfig(3, (LayerSpec(4, LOGSIG), None))
 
     @pytest.mark.parametrize("neurons", [True, False, 4.0, "4", None])
     def test_neuron_count_must_be_an_integer(self, neurons):
         with pytest.raises(ValueError, match="neuron count must be an integer"):
             LayerSpec(neurons, TANSIG)
+
+
+class TestNetworkChecks:
+    CONFIG = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=0)
+
+    @pytest.mark.parametrize("n_weights, n_biases", [(1, 2), (2, 1)])
+    def test_one_weight_matrix_and_one_bias_vector_per_layer(self, n_weights, n_biases):
+        net = init_network(self.CONFIG)
+        with pytest.raises(ValueError, match="one weight matrix and one bias vector per layer"):
+            Network(self.CONFIG, net.weights[:n_weights], net.biases[:n_biases])
+
+    def test_a_non_finite_bias_is_refused_beside_finite_weights(self):
+        net = init_network(self.CONFIG)
+        with pytest.raises(ValueError, match="^layer 1: non-finite parameters$"):
+            Network(self.CONFIG, net.weights, [net.biases[0], np.array([np.nan])])
+
+    def test_a_non_finite_target_is_refused_beside_finite_inputs(self):
+        net = init_network(self.CONFIG)
+        batch = (np.zeros((2, 3)), np.array([[0.5], [np.nan]]))
+        with pytest.raises(ValueError, match="^batch contains non-finite values$"):
+            as_batch_arrays(batch, net)
 
 
 class TestForward:

@@ -66,6 +66,21 @@ class TestCanonicalGrid:
 
 
 
+class TestSweepConfig:
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(ValueError, match="^empty sweep grid$"):
+            SweepConfig((), (1,))
+
+    def test_no_seeds_is_refused(self):
+        with pytest.raises(ValueError, match="^no seeds given$"):
+            SweepConfig(tiny_config().grid, ())
+
+    def test_a_layer_that_is_not_a_layer_spec_is_refused(self):
+        # Unchecked, the sweep trained every family before failing on the label.
+        with pytest.raises(ValueError, match="^layer 0 must be a LayerSpec, got '2/logsig'$"):
+            SweepConfig([GridRow(("2/logsig",), 5)], (1,))
+
+
 class TestRunSweep:
     def test_rows_report_the_given_goal_and_rate(self, dataset):
         grid = (GridRow((), 5), GridRow((LayerSpec(2, LOGSIG),), 3))
@@ -112,41 +127,20 @@ class TestRunSweep:
             run_sweep(SweepConfig([GridRow((), 2.5), GridRow((), 10)], (1,)), dataset,
                       TrainParams())
 
-    def test_failed_seed_marks_row_not_sweep(self, dataset, monkeypatch):
-        calls = {"n": 0}
+    def test_a_failing_seed_fails_the_sweep_with_its_exception(self, dataset, monkeypatch):
+        failure = ValueError("synthetic failure")
         real_train = sweep_mod.train
 
-        def flaky_train(net, batch, params, on_epoch=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise ValueError("synthetic failure")
+        def train_failing_for_seed_2_of_2_logsig(net, batch, params, on_epoch=None):
+            if net.config.layers[0] == LayerSpec(2, LOGSIG) and net.config.seed == 2:
+                raise failure
             return real_train(net, batch, params, on_epoch=on_epoch)
 
-        monkeypatch.setattr(sweep_mod, "train", flaky_train)
-        rows = run_sweep(tiny_config(seeds=(1, 2)), dataset, TrainParams())
-        row = rows[0]
-        assert row.train_mse[0] is None
-        assert row.errors[0] == "synthetic failure"
-        assert row.train_mse[1] is not None
-        assert not row.failed
-
-    def test_failure_mid_trajectory_fails_only_unreached_budgets(self, dataset, monkeypatch):
-        real_train = sweep_mod.train
-
-        def train_failing_after_35(net, batch, params, on_epoch=None):
-            def hook(record, trajectory):
-                on_epoch(record, trajectory)
-                if record.epoch == 35 and net.config.seed == 1:
-                    raise ValueError("synthetic failure")
-            return real_train(net, batch, params, on_epoch=hook)
-
-        monkeypatch.setattr(sweep_mod, "train", train_failing_after_35)
-        grid = tuple(GridRow((LayerSpec(2, LOGSIG),), epochs) for epochs in (35, 40))
-        short, long = run_sweep(SweepConfig(grid, (1, 2)), dataset, TrainParams())
-        monkeypatch.undo()
-        assert short == run_sweep(SweepConfig(grid[:1], (1, 2)), dataset, TrainParams())[0]
-        assert long.train_mse[0] is None and long.errors[0] == "synthetic failure"
-        assert long.train_mse[1] is not None and not long.failed
+        monkeypatch.setattr(sweep_mod, "train", train_failing_for_seed_2_of_2_logsig)
+        grid = (GridRow((), 5), GridRow((LayerSpec(2, LOGSIG),), 5), GridRow((), 10))
+        with pytest.raises(ValueError) as caught:
+            run_sweep(SweepConfig(grid, (1, 2)), dataset, TrainParams())
+        assert caught.value is failure
 
     def test_shared_trajectories_match_separate_runs(self, dataset):
         two_logsig = (LayerSpec(2, LOGSIG),)
@@ -180,7 +174,6 @@ class TestRunSweep:
             assert row.train_mse == tuple(mses)
             assert row.test_mse == tuple(test_mses)
             assert row.stopping_reasons == tuple(reasons)
-            assert row.errors == (None,) * len(seeds)
         assert rows[0].goal_reached_count == len(seeds)
         assert 0 < rows[3].goal_reached_count < len(seeds)
         assert rows[5].goal_reached_count == 0
@@ -196,11 +189,36 @@ def fake_row(mse):
     return SweepRow(
         label="4/logsig + 1/tansig", epochs=1000, error_goal=0.01, learning_rate=0.01,
         seeds=(42,), train_mse=(mse,), test_mse=(mse,), stopping_reasons=("goal_reached",),
-        errors=(None,),
     )
 
 
+# Two rows of a dataset with no test rows: the test-MSE cells are empty.
+NO_TEST_ROWS = [
+    SweepRow("1/tansig", 35, 0.01, 0.01, (1, 2, 3), (0.25, 0.5, 0.75), (None,) * 3,
+             ("epoch_budget_exhausted",) * 3),
+    SweepRow("4/logsig + 1/tansig", 1000, 0.05, 0.02, (1, 2, 3), (0.03125, 0.046875, 0.0625),
+             (None,) * 3, ("goal_reached", "epoch_budget_exhausted", "goal_reached")),
+]
+
+
 class TestRendering:
+    def test_table_without_a_test_split(self):
+        assert render_table(NO_TEST_ROWS) == (
+            "configuration        epochs  goal  lr    mse mean  mse min   test mse  accuracy %  goal hit\n"
+            "1/tansig                 35  0.01  0.01  0.500000  0.250000         -       99.50       0/3\n"
+            "4/logsig + 1/tansig    1000  0.05  0.02  0.046875  0.031250         -       99.95       2/3"
+        )
+
+    def test_csv_without_a_test_split(self):
+        assert render_csv(NO_TEST_ROWS) == (
+            "configuration,epochs,error_goal,learning_rate,mse_mean,mse_min,test_mse_mean,accuracy,"
+            "seeds,mse_per_seed,test_mse_per_seed,stopping_reasons,errors\r\n"
+            "1/tansig,35,0.01,0.01,0.5,0.25,,99.5,1;2;3,0.25;0.5;0.75,;;,"
+            "epoch_budget_exhausted;epoch_budget_exhausted;epoch_budget_exhausted,;;\r\n"
+            "4/logsig + 1/tansig,1000,0.05,0.02,0.046875,0.03125,,99.953125,1;2;3,"
+            "0.03125;0.046875;0.0625,;;,goal_reached;epoch_budget_exhausted;goal_reached,;;\r\n"
+        )
+
     def test_header_plus_one_line(self):
         text = render_table([fake_row(0.25)])
         assert len(text.splitlines()) == 2

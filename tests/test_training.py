@@ -14,10 +14,12 @@ from hrdiag import (
     TrainingTrace,
     StoppingReason,
     accuracy_from_mse,
+    as_training_batch,
     backprop_gradients,
     evaluate,
     forward,
     init_network,
+    prepared_embedded,
     Trajectory,
     train,
     train_epoch,
@@ -220,6 +222,16 @@ class TestTrain:
         _, trace = train(init_network(config), XOR_BATCH, p_budget)
         assert trace.stopping_reason is StoppingReason.EPOCH_BUDGET_EXHAUSTED
         assert not any(r.accepted and r.mse <= 1e-9 for r in trace.records)
+
+    def test_a_goal_equal_to_an_accepted_mse_stops_there(self):
+        batch = as_training_batch(prepared_embedded().training)
+        net = init_network(NetworkConfig(3, (LayerSpec(1, TANSIG),), seed=1))
+        _, probe = train(net, batch, params(max_epochs=2))
+        first, second = probe.records
+        assert second.accepted and second.mse < first.mse
+        _, trace = train(net, batch, params(error_goal=second.mse))
+        assert trace.records == probe.records
+        assert trace.stopping_reason is StoppingReason.GOAL_REACHED
 
 
 def hand_stepped(net, batch, p):
@@ -625,6 +637,8 @@ class TestTrainParams:
         {"lr_decrease": 1.01},
         {"lr_decrease": 0.0},
         {"max_error_ratio": 1.0},
+        {"lr_increase": 1.0},
+        {"lr_decrease": 1.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
