@@ -144,7 +144,9 @@ def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict
 
 def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> list[SweepRow]:
     """Train every grid row for every seed on the dataset's training split,
-    with ``params_base``'s error goal and learning rate.
+    with every ``params_base`` field (learning rate, momentum, error goal,
+    lr_increase, lr_decrease, max_error_ratio, adaptive) but ``max_epochs``,
+    which each row's epoch budget replaces without a message.
 
     Rows come back in grid order, complete for every seed; an exception in
     any seed's training propagates unchanged and ends the sweep.
