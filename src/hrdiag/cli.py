@@ -65,6 +65,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         seeds = tuple(range(int(lo), int(hi) + 1)) if dots else tuple(map(int, text.split(",")))
     except ValueError:
         seeds = ()
+    except OverflowError:
+        raise ValueError(f"--seeds range has too many seeds, got {text!r}") from None
     if not seeds:
         raise ValueError(f"--seeds must be N, N,M,... or A..B with A <= B, got {text!r}")
     return seeds

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .activations import Activation
 from .data import Dataset, as_training_batch, check_integer
@@ -55,8 +54,12 @@ class SweepConfig:
             raise ValueError("empty sweep grid")
         if not self.seeds:
             raise ValueError("no seeds given")
+        seen = set()
         for seed in self.seeds:
             check_integer("seed", seed, 0)
+            if seed in seen:
+                raise ValueError(f"seed {seed} is repeated")
+            seen.add(seed)
 
 
 # The canonical 15-row grid: hidden stacks crossed with epoch budgets.  An
@@ -99,46 +102,42 @@ class SweepRow:
 
     @property
     def mean_test_mse(self) -> float | None:
-        ok = [m for m in self.test_mse if m is not None]
-        return sum(ok) / len(ok) if ok else None
+        return None if None in self.test_mse else sum(self.test_mse) / len(self.test_mse)
 
     @property
     def goal_reached_count(self) -> int:
         return sum(1 for r in self.stopping_reasons if r == StoppingReason.GOAL_REACHED.value)
 
 
-class _Outcome(NamedTuple):
-    """One seed's result for one grid row."""
+def _walk_family(layers, seeds, budgets, params, train_batch, test_batch) -> dict[int, tuple]:
+    """Train each seed of one family up to ``params.max_epochs``, settling
+    each budget as the seed's trajectory reaches it.
 
-    train_mse: float
-    test_mse: float | None
-    stopping_reason: str
-
-
-def _walk_family(layers, seed, budgets, params, train_batch, test_batch) -> dict[int, _Outcome]:
-    """Train one seed of one family up to ``params.max_epochs``, settling
-    each budget as the trajectory reaches it.
-
-    A budget the run stops short of (the goal was reached first) gets the
-    final result, as a separate run of that budget would.  Whatever the
-    training raises propagates unchanged.
+    Returns, for each budget, the seeds' train MSEs, test MSEs and stopping
+    reasons, in seed order.  A budget the run stops short of (the goal was
+    reached first) gets the final result, as a separate run of that budget
+    would.  Whatever the training raises propagates unchanged.
     """
-    settled: dict[int, _Outcome] = {}
+    settled = {budget: ([], [], []) for budget in budgets}
 
     def settle(budget, net, mse, reason):
-        test_mse = evaluate(net, test_batch) if test_batch is not None else None
-        settled[budget] = _Outcome(mse, test_mse, reason.value)
+        mses, test_mses, reasons = settled[budget]
+        mses.append(mse)
+        test_mses.append(evaluate(net, test_batch) if test_batch is not None else None)
+        reasons.append(reason.value)
 
     def at_epoch(record, trajectory):
         if record.epoch in budgets:
             settle(record.epoch, trajectory.network(), record.mse, trajectory.stopping_reason)
 
-    net = init_network(NetworkConfig(3, layers, seed=seed))
-    if 0 in budgets:
-        settle(0, net, evaluate(net, train_batch), StoppingReason.EPOCH_BUDGET_EXHAUSTED)
-    trained, trace = train(net, train_batch, params, on_epoch=at_epoch)
-    for budget in budgets - settled.keys():
-        settle(budget, trained, trace.final_mse, trace.stopping_reason)
+    for seed in seeds:
+        net = init_network(NetworkConfig(3, layers, seed=seed))
+        if 0 in budgets:
+            settle(0, net, evaluate(net, train_batch), StoppingReason.EPOCH_BUDGET_EXHAUSTED)
+        trained, trace = train(net, train_batch, params, on_epoch=at_epoch)
+        for budget in budgets:
+            if budget > len(trace.records):
+                settle(budget, trained, trace.final_mse, trace.stopping_reason)
     return settled
 
 
@@ -158,23 +157,14 @@ def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> l
     budgets_of: dict[tuple[LayerSpec, ...], set[int]] = {}
     for cell in config.grid:
         budgets_of.setdefault(cell.hidden_layers, set()).add(cell.epochs)
-    outcomes: dict[tuple, _Outcome] = {}
-    for hidden, budgets in budgets_of.items():
-        params = replace(params_base, max_epochs=max(budgets))
-        for seed in config.seeds:
-            walked = _walk_family(hidden + (OUTPUT_LAYER,), seed, budgets, params,
+    walks = {hidden: _walk_family(hidden + (OUTPUT_LAYER,), config.seeds, budgets,
+                                  replace(params_base, max_epochs=max(budgets)),
                                   train_batch, test_batch)
-            for budget, outcome in walked.items():
-                outcomes[hidden, budget, seed] = outcome
-
-    rows: list[SweepRow] = []
-    for cell in config.grid:
-        label = NetworkConfig(3, cell.hidden_layers + (OUTPUT_LAYER,)).label
-        mses, test_mses, reasons = zip(
-            *(outcomes[cell.hidden_layers, cell.epochs, seed] for seed in config.seeds))
-        rows.append(SweepRow(label, cell.epochs, params_base.error_goal, params_base.learning_rate,
-                             config.seeds, mses, test_mses, reasons))
-    return rows
+             for hidden, budgets in budgets_of.items()}
+    return [SweepRow(NetworkConfig(3, cell.hidden_layers + (OUTPUT_LAYER,)).label, cell.epochs,
+                     params_base.error_goal, params_base.learning_rate, config.seeds,
+                     *map(tuple, walks[cell.hidden_layers][cell.epochs]))
+            for cell in config.grid]
 
 
 def render_table(rows: list[SweepRow]) -> str:

@@ -483,6 +483,17 @@ class TestSweep:
         assert code == 1 and out == ""
         assert err == f"error: --seeds must be N, N,M,... or A..B with A <= B, got {spec!r}\n"
 
+    def test_an_overflowing_seed_range_is_refused_in_one_line(self, capsys):
+        # More than sys.maxsize seeds: the range has no length, so nothing is allocated.
+        spec = "1..100000000000000000000"
+        code, out, err = run(capsys, "sweep", "--seeds", spec)
+        assert code == 1 and out == ""
+        assert err == f"error: --seeds range has too many seeds, got {spec!r}\n"
+
+    def test_a_repeated_seed_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
+        assert run(capsys, "sweep", "--seeds", "01,1") == (1, "", "error: seed 1 is repeated\n")
+
     def test_empty_seed_spec_is_refused_not_replaced_by_seed(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
         code, out, err = run(capsys, "sweep", "--seeds", "", "--quiet")

@@ -80,6 +80,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="^layer 0 must be a LayerSpec, got '2/logsig'$"):
             SweepConfig([GridRow(("2/logsig",), 5)], (1,))
 
+    def test_a_repeated_seed_is_refused(self):
+        # A repeated seed would count twice in every mean and goal-hit tally.
+        with pytest.raises(ValueError, match="^seed 1 is repeated$"):
+            SweepConfig(tiny_config().grid, (1, 2, 1))
+
 
 class TestRunSweep:
     def test_rows_report_the_given_goal_and_rate(self, dataset):
@@ -141,6 +146,20 @@ class TestRunSweep:
         with pytest.raises(ValueError) as caught:
             run_sweep(SweepConfig(grid, (1, 2)), dataset, TrainParams())
         assert caught.value is failure
+
+    def test_trains_once_per_family_and_seed_family_major(self, dataset, monkeypatch):
+        # bench/tracing.py counts the sweep's cells by the calls to this name.
+        calls = []
+        real_train = sweep_mod.train
+
+        def recording_train(net, batch, params, on_epoch=None):
+            calls.append((net.config.layers[:-1], net.config.seed))
+            return real_train(net, batch, params, on_epoch=on_epoch)
+
+        monkeypatch.setattr(sweep_mod, "train", recording_train)
+        run_sweep(canonical_grid(seeds=(1, 2)), dataset, TrainParams())
+        families = [(), (LayerSpec(2, LOGSIG),), (LayerSpec(3, LOGSIG),), (LayerSpec(4, LOGSIG),)]
+        assert calls == [(hidden, seed) for hidden in families for seed in (1, 2)]
 
     def test_shared_trajectories_match_separate_runs(self, dataset):
         two_logsig = (LayerSpec(2, LOGSIG),)
