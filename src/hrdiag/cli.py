@@ -22,7 +22,7 @@ from .data import (
     RAW_MIN,
     SURROGATE_THRESHOLD,
     Dataset,
-    _open_path,
+    _replacing,
     aggregate_questionnaire,
     as_training_batch,
     assign_surrogate_targets,
@@ -214,9 +214,10 @@ def cmd_sweep(args) -> int:
     dataset, rule = _load_training_data(args)
     config = canonical_grid(_parse_seeds(args.seeds))
     params_base = TrainParams(momentum=args.momentum, adaptive=args.adaptive)
-    # Opened before the grid runs, so a path open() refuses costs no training.
+    # Opened before the grid runs and replaced after it: a path open() refuses
+    # costs no training, and a failed sweep leaves the old file as it was.
     with (nullcontext() if args.csv is None
-          else _open_path(Path(_nonempty("--csv", args.csv)), "w", encoding="utf-8")) as out:
+          else _replacing(Path(_nonempty("--csv", args.csv)))) as out:
         rows = run_sweep(config, dataset, params_base)
         print(render_table(rows))
         if rule is not None:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,12 +153,31 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
         raise ValueError(f"row {row_num}, column '{column}': malformed number {raw!r}") from None
 
 
-def _open_path(path: Path, mode: str = "r", **kwargs):
-    """``path.open()``, with a path it refuses (a NUL byte, a lone surrogate) named in the error."""
+def _open_path(path: Path, mode: str = "r", opened: Path | None = None, **kwargs):
+    """``path.open()``, or ``opened.open()`` in its place, with a path it refuses
+    (a NUL byte, a lone surrogate) named in the error as ``path``."""
     try:
-        return path.open(mode, **kwargs)
+        return (opened or path).open(mode, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{str(path)!r}: {exc}") from None
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A UTF-8 text file, the sibling ``path`` + ``.part``, that ``os.replace`` moves
+    over ``path`` once the block completes, and that a block that raises removes.
+    A path ``open()`` refuses, or a directory, fails here, before the block runs."""
+    if path.is_dir():
+        path.open("w")  # raises IsADirectoryError now, not at os.replace
+    part = path.with_name(path.name + ".part")
+    fh = _open_path(path, "w", part, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _read_text(path: Path) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import (
     RAW_MAX, RAW_MIN, FAILURE_TARGET, SUCCESS_TARGET, NormalizationMap, check_finite_number,
-    _open_path, first_out_of_range,
+    _open_path, _replacing, first_out_of_range,
 )
 from .network import LayerSpec, Network, NetworkConfig, forward
 from .activations import Activation
@@ -105,7 +105,7 @@ def _model_dict(model: ModelFile) -> dict:
 
 
 def save_model(model: ModelFile, path: str | Path) -> None:
-    with _open_path(Path(path), "w", encoding="utf-8") as fh:
+    with _replacing(Path(path)) as fh:
         fh.write(json.dumps(_model_dict(model), indent=2) + "\n")
 
 

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import threading
 from dataclasses import dataclass, replace
 
 from .activations import Activation
@@ -109,22 +112,20 @@ class SweepRow:
         return sum(1 for r in self.stopping_reasons if r == StoppingReason.GOAL_REACHED.value)
 
 
-def _walk_family(layers, seeds, budgets, params, train_batch, test_batch) -> dict[int, tuple]:
+def _walk_family(layers, seeds, budgets, params, train_batch, test_batch) -> dict[int, list]:
     """Train each seed of one family up to ``params.max_epochs``, settling
     each budget as the seed's trajectory reaches it.
 
-    Returns, for each budget, the seeds' train MSEs, test MSEs and stopping
-    reasons, in seed order.  A budget the run stops short of (the goal was
-    reached first) gets the final result, as a separate run of that budget
-    would.  Whatever the training raises propagates unchanged.
+    Returns, for each budget, one (train MSE, test MSE, stopping reason)
+    triple per seed, in seed order.  A budget the run stops short of (the
+    goal was reached first) gets the final result, as a separate run of that
+    budget would.  Whatever the training raises propagates unchanged.
     """
-    settled = {budget: ([], [], []) for budget in budgets}
+    settled = {budget: [] for budget in budgets}
 
     def settle(budget, net, mse, reason):
-        mses, test_mses, reasons = settled[budget]
-        mses.append(mse)
-        test_mses.append(evaluate(net, test_batch) if test_batch is not None else None)
-        reasons.append(reason.value)
+        test_mse = evaluate(net, test_batch) if test_batch is not None else None
+        settled[budget].append((mse, test_mse, reason.value))
 
     def at_epoch(record, trajectory):
         if record.epoch in budgets:
@@ -141,6 +142,43 @@ def _walk_family(layers, seeds, budgets, params, train_batch, test_batch) -> dic
     return settled
 
 
+def _walk_seeds(walk, seeds: tuple[int, ...]) -> list:
+    """``walk`` of contiguous chunks of ``seeds``, in seed order, one per usable CPU
+    (at most one per seed): the first here, each other one in a forked child that
+    pipes back one pickle.  If any worker fails, the walk reruns serially here.  No
+    fork off Linux (no ``os.sched_getaffinity``) or while other threads run: a
+    forked child could inherit a lock that one of them holds."""
+    n = len(seeds)
+    workers = (1 if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+               else min(len(os.sched_getaffinity(0)), n))
+    chunks = [seeds[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
+    pipes, pids = [], []  # each child's read end and process id
+    try:
+        for chunk in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as out:
+                if (pid := os.fork()) == 0:
+                    try:  # the child never returns into the caller
+                        pickle.dump(walk(chunk), out, pickle.HIGHEST_PROTOCOL)
+                        out.close()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        # A child that failed sent no complete pickle, and loads raises for it.
+        return [walk(chunks[0])] + [pickle.loads(pipe.read()) for pipe in pipes]
+    except Exception:
+        if workers == 1:
+            raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:  # a child whose pipe was read to its end has completed
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return [walk(seeds)]  # a worker failed: this completes, or raises the serial exception
+
+
 def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> list[SweepRow]:
     """Train every grid row for every seed on the dataset's training split,
     with every ``params_base`` field (learning rate, momentum, error goal,
@@ -148,8 +186,8 @@ def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> l
     which each row's epoch budget replaces without a message.
 
     Rows come back in grid order, complete for every seed; an exception in
-    any seed's training propagates unchanged and ends the sweep.
-    Deterministic given (config, data, seeds).
+    any seed's training propagates unchanged and ends the sweep, the first
+    in family-major, then seed order.  Deterministic given (config, data, seeds).
     """
     train_batch = as_training_batch(data.training)
     test_batch = as_training_batch(data.testing) if len(data.testing[0]) else None
@@ -157,13 +195,17 @@ def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> l
     budgets_of: dict[tuple[LayerSpec, ...], set[int]] = {}
     for cell in config.grid:
         budgets_of.setdefault(cell.hidden_layers, set()).add(cell.epochs)
-    walks = {hidden: _walk_family(hidden + (OUTPUT_LAYER,), config.seeds, budgets,
-                                  replace(params_base, max_epochs=max(budgets)),
-                                  train_batch, test_batch)
-             for hidden, budgets in budgets_of.items()}
+
+    def walk(seeds):
+        return [_walk_family(hidden + (OUTPUT_LAYER,), seeds, budgets,
+                             replace(params_base, max_epochs=max(budgets)),
+                             train_batch, test_batch)
+                for hidden, budgets in budgets_of.items()]
+
+    walks = dict(zip(budgets_of, zip(*_walk_seeds(walk, config.seeds))))  # per family, per chunk
     return [SweepRow(NetworkConfig(3, cell.hidden_layers + (OUTPUT_LAYER,)).label, cell.epochs,
                      params_base.error_goal, params_base.learning_rate, config.seeds,
-                     *map(tuple, walks[cell.hidden_layers][cell.epochs]))
+                     *zip(*(r for chunk in walks[cell.hidden_layers] for r in chunk[cell.epochs])))
             for cell in config.grid]
 
 

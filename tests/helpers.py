@@ -6,10 +6,13 @@ import numpy as np
 
 from hrdiag import (
     Activation,
+    Dataset,
     LayerSpec,
     Network,
     NetworkConfig,
+    assign_surrogate_targets,
     evaluate,
+    load_embedded,
 )
 
 
@@ -74,3 +77,13 @@ def random_batch(rng, config, max_patterns=8):
     X = rng.uniform(-1.0, 1.0, size=(n, config.input_dim))
     T = rng.uniform(-0.9, 0.9, size=(n, config.layers[-1].neurons))
     return X, T
+
+
+def raw_embedded_dataset(threshold=2.5):
+    """Bundled data with surrogate targets, left in raw coordinates (the
+    original experiment never documented input scaling)."""
+    raw = load_embedded()
+    return Dataset(
+        assign_surrogate_targets(raw.training, threshold),
+        assign_surrogate_targets(raw.testing, threshold),
+    )

@@ -10,14 +10,12 @@ import numpy as np
 
 from hrdiag import (
     Activation,
-    Dataset,
     LayerSpec,
     NetworkConfig,
     TrainParams,
     accuracy_from_mse,
     aggregate_questionnaire,
     as_training_batch,
-    assign_surrogate_targets,
     backprop_gradients,
     canonical_grid,
     diagnose,
@@ -36,7 +34,8 @@ from hrdiag import ALL_FACTORS, QuestionnaireResponse
 from hrdiag.model_io import SurrogateRule
 from hrdiag.network import Network
 
-from helpers import fd_gradients, gradient_check, random_batch, random_config
+from helpers import (fd_gradients, gradient_check, random_batch, random_config,
+                     raw_embedded_dataset)
 
 TANSIG = Activation.TANSIG
 LOGSIG = Activation.LOGSIG
@@ -46,16 +45,6 @@ PURELIN = Activation.PURELIN
 def report(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {n} failed: {detail}"
-
-
-def raw_embedded_dataset(threshold=2.5):
-    """Bundled data with surrogate targets, left in raw coordinates (the
-    original experiment never documented input scaling)."""
-    raw = load_embedded()
-    return Dataset(
-        assign_surrogate_targets(raw.training, threshold),
-        assign_surrogate_targets(raw.testing, threshold),
-    )
 
 
 def test_criterion_1_gradient_oracle():

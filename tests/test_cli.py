@@ -429,6 +429,16 @@ def test_sweep_csv_directory_fails_before_the_grid_runs(capsys, monkeypatch, tmp
     assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
+def test_a_failed_sweep_leaves_the_old_csv_and_no_sibling(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sweep_mod, "train", mock.Mock(side_effect=ValueError("synthetic failure")))
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_bytes(b"old,bytes\r\n")
+    assert run(capsys, "sweep", "--seeds", "1", "--csv", str(csv_path)) == (
+        1, "", "error: synthetic failure\n")
+    assert csv_path.read_bytes() == b"old,bytes\r\n"
+    assert list(tmp_path.iterdir()) == [csv_path]
+
+
 class TestSweep:
     def test_default_run_prints_15_rows(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hrdiag import (
     save_model,
     train,
 )
+from hrdiag import model_io
 from hrdiag.cli import main
 
 LAYERS = (LayerSpec(4, Activation.LOGSIG), LayerSpec(1, Activation.TANSIG))
@@ -75,6 +77,17 @@ class TestRoundTrip:
         save_model(trained_model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_a_failed_save_leaves_the_old_file_and_no_sibling(self, trained_model, tmp_path,
+                                                              monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        old = path.read_bytes()
+        monkeypatch.setattr(model_io, "_model_dict", mock.Mock(side_effect=ValueError("no")))
+        with pytest.raises(ValueError, match="^no$"):
+            save_model(trained_model, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_loaded_model_predicts_to_zero_ulp(self, trained_model, tmp_path):
         path = tmp_path / "model.json"

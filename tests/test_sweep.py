@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import io
+import os
+import time
 
 import pytest
 
@@ -23,6 +26,8 @@ from hrdiag import (
 from hrdiag import sweep as sweep_mod
 from hrdiag.data import as_training_batch
 
+from helpers import raw_embedded_dataset
+
 TANSIG = Activation.TANSIG
 LOGSIG = Activation.LOGSIG
 
@@ -32,9 +37,31 @@ def dataset():
     return prepared_embedded()
 
 
+def usable_cpus(monkeypatch, cpus):
+    """Make the sweep see ``cpus`` as this process's CPU set, and so fork
+    one worker per CPU, at most one per seed."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
 def tiny_config(seeds=(1, 2, 3), epochs=30):
     grid = (GridRow((LayerSpec(2, LOGSIG),), epochs),)
     return SweepConfig(grid, tuple(seeds))
+
+
+CANONICAL_FAMILIES = [(), (LayerSpec(2, LOGSIG),), (LayerSpec(3, LOGSIG),), (LayerSpec(4, LOGSIG),)]
+
+
+def record_train_calls(monkeypatch) -> list:
+    """The (hidden stack, seed) of each ``train`` call the sweep makes in this process."""
+    calls = []
+    real_train = sweep_mod.train
+
+    def recording_train(net, batch, params, on_epoch=None):
+        calls.append((net.config.layers[:-1], net.config.seed))
+        return real_train(net, batch, params, on_epoch=on_epoch)
+
+    monkeypatch.setattr(sweep_mod, "train", recording_train)
+    return calls
 
 
 class TestCanonicalGrid:
@@ -149,17 +176,82 @@ class TestRunSweep:
 
     def test_trains_once_per_family_and_seed_family_major(self, dataset, monkeypatch):
         # bench/tracing.py counts the sweep's cells by the calls to this name.
-        calls = []
+        # Under --trace 1 it sees this process's calls alone: with more than
+        # one usable CPU, only the first seed chunk's share.
+        usable_cpus(monkeypatch, {0})
+        calls = record_train_calls(monkeypatch)
+        run_sweep(canonical_grid(seeds=(1, 2)), dataset, TrainParams())
+        assert calls == [(hidden, seed) for hidden in CANONICAL_FAMILIES for seed in (1, 2)]
+
+    def test_a_second_cpu_walks_the_second_seed_chunk_in_a_child(self, dataset, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1})
+        calls = record_train_calls(monkeypatch)
+        run_sweep(canonical_grid(seeds=(1, 2)), dataset, TrainParams())
+        assert calls == [(hidden, 1) for hidden in CANONICAL_FAMILIES]
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
+    def test_one_worker_and_three_give_the_same_csv_bytes(self, dataset, monkeypatch, raw):
+        data = raw_embedded_dataset() if raw else dataset
+        csvs = []
+        for cpus in ({0}, {0, 1, 2}):
+            usable_cpus(monkeypatch, cpus)
+            csvs.append(render_csv(run_sweep(canonical_grid(seeds=(1, 2, 3, 4, 5)), data,
+                                             TrainParams())).encode())
+        assert csvs[0] == csvs[1]
+
+    def test_failures_in_two_workers_raise_the_serial_first(self, dataset, monkeypatch):
+        # Family () fails at seed 4, in the last child; family 2/logsig at
+        # seed 1, in this process.  A serial run meets seed 4's first.
+        usable_cpus(monkeypatch, {0, 1, 2, 3})
+        failures = {(): ValueError("seed 4 of 1/tansig"),
+                    (LayerSpec(2, LOGSIG),): ValueError("seed 1 of 2/logsig")}
+        failing_seed = {(): 4, (LayerSpec(2, LOGSIG),): 1}
         real_train = sweep_mod.train
 
-        def recording_train(net, batch, params, on_epoch=None):
-            calls.append((net.config.layers[:-1], net.config.seed))
+        def train_failing(net, batch, params, on_epoch=None):
+            hidden = net.config.layers[:-1]
+            if failing_seed[hidden] == net.config.seed:
+                raise failures[hidden]
             return real_train(net, batch, params, on_epoch=on_epoch)
 
-        monkeypatch.setattr(sweep_mod, "train", recording_train)
-        run_sweep(canonical_grid(seeds=(1, 2)), dataset, TrainParams())
-        families = [(), (LayerSpec(2, LOGSIG),), (LayerSpec(3, LOGSIG),), (LayerSpec(4, LOGSIG),)]
-        assert calls == [(hidden, seed) for hidden in families for seed in (1, 2)]
+        monkeypatch.setattr(sweep_mod, "train", train_failing)
+        grid = (GridRow((), 5), GridRow((LayerSpec(2, LOGSIG),), 5))
+        with pytest.raises(ValueError) as caught:
+            run_sweep(SweepConfig(grid, (1, 2, 3, 4)), dataset, TrainParams())
+        assert caught.value is failures[()]
+
+    @pytest.mark.parametrize("failing", [None, (2, ValueError), (1, KeyboardInterrupt)],
+                             ids=["completes", "child-fails", "parent-interrupted"])
+    def test_no_worker_outlives_the_sweep(self, dataset, monkeypatch, failing):
+        usable_cpus(monkeypatch, {0, 1})
+        real_train = sweep_mod.train
+
+        def train_failing(net, batch, params, on_epoch=None):
+            if failing is not None and net.config.seed == failing[0]:
+                raise failing[1]("synthetic failure")
+            return real_train(net, batch, params, on_epoch=on_epoch)
+
+        monkeypatch.setattr(sweep_mod, "train", train_failing)
+        with pytest.raises(failing[1]) if failing else contextlib.nullcontext():
+            run_sweep(tiny_config(seeds=(1, 2)), dataset, TrainParams())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_kills_a_busy_worker_instead_of_waiting(self, dataset, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1})
+
+        def train_interrupted_or_stuck(net, batch, params, on_epoch=None):
+            if net.config.seed == 1:
+                raise KeyboardInterrupt
+            time.sleep(60)  # seed 2, in the child: only a kill ends it in time
+
+        monkeypatch.setattr(sweep_mod, "train", train_interrupted_or_stuck)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(tiny_config(seeds=(1, 2)), dataset, TrainParams())
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_shared_trajectories_match_separate_runs(self, dataset):
         two_logsig = (LayerSpec(2, LOGSIG),)
