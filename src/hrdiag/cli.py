@@ -259,12 +259,12 @@ def cmd_predict(args) -> int:
 
 def cmd_score(args) -> int:
     resp = load_questionnaire_csv(_nonempty("questionnaire", args.questionnaire, "a CSV path"))
-    x1, x2, x3 = aggregate_questionnaire(resp)
-    print(f"x1={x1:.3f} x2={x2:.3f} x3={x3:.3f}")
+    aggregates = aggregate_questionnaire(resp)
+    print(" ".join(f"x{i}={mean:.3f}" for i, mean in enumerate(aggregates, 1)))
     print()
     width = max(len(f) for factors in FACTOR_GROUPS.values() for f in factors)
-    for group, factors in FACTOR_GROUPS.items():
-        print(f"{group} factors (mean {resp.group_mean(group):.3f}):")
+    for (group, factors), mean in zip(FACTOR_GROUPS.items(), aggregates):
+        print(f"{group} factors (mean {mean:.3f}):")
         for factor in factors:
             print(f"  {factor.ljust(width)}  {resp.scores[factor]:g}")
     return 0

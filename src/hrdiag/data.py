@@ -131,12 +131,8 @@ class QuestionnaireResponse:
 
 
 def aggregate_questionnaire(resp: QuestionnaireResponse) -> tuple[float, float, float]:
-    """Reduce a full questionnaire to the (strategic, tactical, operational) means."""
-    return (
-        resp.group_mean("strategic"),
-        resp.group_mean("tactical"),
-        resp.group_mean("operational"),
-    )
+    """Reduce a full questionnaire to its group means, in ``FACTOR_GROUPS`` order."""
+    return tuple(resp.group_mean(group) for group in FACTOR_GROUPS)
 
 
 def load_embedded() -> Dataset:
@@ -154,10 +150,13 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
 
 
 def _open_path(path: Path, mode: str = "r", opened: Path | None = None, **kwargs):
-    """``path.open()``, or ``opened.open()`` in its place, with a path it refuses
-    (a NUL byte, a lone surrogate) named in the error as ``path``."""
+    """``path.open()``, or ``opened.open()`` in its place, with every error naming
+    ``path``, that of a path ``open()`` refuses (a NUL byte, a lone surrogate) too."""
     try:
         return (opened or path).open(mode, **kwargs)
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
     except ValueError as exc:
         raise ValueError(f"{str(path)!r}: {exc}") from None
 

@@ -17,6 +17,7 @@ budget.  The results are bit-identical to training each row separately.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import os
 import pickle
@@ -145,14 +146,14 @@ def _walk_family(layers, seeds, budgets, params, train_batch, test_batch) -> dic
 def _walk_seeds(walk, seeds: tuple[int, ...]) -> list:
     """``walk`` of contiguous chunks of ``seeds``, in seed order, one per usable CPU
     (at most one per seed): the first here, each other one in a forked child that
-    pipes back one pickle.  If any worker fails, the walk reruns serially here.  No
-    fork off Linux (no ``os.sched_getaffinity``) or while other threads run: a
-    forked child could inherit a lock that one of them holds."""
+    pipes back one pickle and dies with this process.  If any worker fails, the walk
+    reruns serially here.  No fork off Linux (no ``os.sched_getaffinity``) or while
+    other threads run: a forked child could inherit a lock that one of them holds."""
     n = len(seeds)
     workers = (1 if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
                else min(len(os.sched_getaffinity(0)), n))
     chunks = [seeds[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
-    pipes, pids = [], []  # each child's read end and process id
+    parent, pipes, pids = os.getpid(), [], []  # this process; each child's read end and pid
     try:
         for chunk in chunks[1:]:
             read_fd, write_fd = os.pipe()
@@ -160,8 +161,10 @@ def _walk_seeds(walk, seeds: tuple[int, ...]) -> list:
             with open(write_fd, "wb") as out:
                 if (pid := os.fork()) == 0:
                     try:  # the child never returns into the caller
-                        pickle.dump(walk(chunk), out, pickle.HIGHEST_PROTOCOL)
-                        out.close()
+                        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
+                        if os.getppid() == parent:  # else the parent ended before prctl
+                            pickle.dump(walk(chunk), out, pickle.HIGHEST_PROTOCOL)
+                            out.close()
                     finally:
                         os._exit(0)
             pids.append(pid)

@@ -337,17 +337,3 @@ def _check_mse(name: str, value) -> None:
         check_finite_number(name, value)
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
-__all__ = [
-    "TrainParams",
-    "StoppingReason",
-    "EpochRecord",
-    "TrainingTrace",
-    "EpochStep",
-    "Trajectory",
-    "evaluate",
-    "train_epoch",
-    "train",
-    "accuracy_from_mse",
-]

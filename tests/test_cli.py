@@ -422,6 +422,16 @@ def test_unopenable_output_path_is_named_in_the_one_error_line(capsys, monkeypat
     assert err.startswith(f"error: {path!r}: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", OUTPUT_ARGV.values(), ids=OUTPUT_ARGV)
+def test_output_path_in_a_missing_directory_is_named_and_leaves_no_sibling(
+        capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, "nodir/out") == (
+        1, "", "error: [Errno 2] No such file or directory: 'nodir/out'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_csv_directory_fails_before_the_grid_runs(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
     code, out, err = run(capsys, "sweep", "--seeds", "1", "--csv", str(tmp_path))

@@ -101,6 +101,11 @@ class TestNetworkChecks:
         with pytest.raises(ValueError, match="one weight matrix and one bias vector per layer"):
             Network(self.CONFIG, net.weights[:n_weights], net.biases[:n_biases])
 
+    def test_a_bias_of_the_wrong_length_is_refused(self):
+        net = init_network(self.CONFIG)
+        with pytest.raises(ValueError, match=r"^layer 0: bias shape \(3,\), expected \(4,\)$"):
+            Network(self.CONFIG, net.weights, [net.biases[0][:3], net.biases[1]])
+
     def test_a_non_finite_bias_is_refused_beside_finite_weights(self):
         net = init_network(self.CONFIG)
         with pytest.raises(ValueError, match="^layer 1: non-finite parameters$"):

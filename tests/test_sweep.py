@@ -2,7 +2,12 @@ import contextlib
 import csv
 import io
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,7 @@ from helpers import raw_embedded_dataset
 
 TANSIG = Activation.TANSIG
 LOGSIG = Activation.LOGSIG
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +258,59 @@ class TestRunSweep:
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_a_worker_dies_with_a_parent_killed_by_a_signal(self, tmp_path):
+        # The sweep forks seed 2's worker, which writes its pid to the file
+        # argv names and sleeps; the test then kills the sweep's process.
+        script = textwrap.dedent("""
+            import os, sys, time
+            from pathlib import Path
+            os.sched_getaffinity = lambda pid: {0, 1}  # forks on one CPU too
+            from hrdiag import GridRow, SweepConfig, TrainParams, prepared_embedded, run_sweep
+            from hrdiag import sweep
+            real_train = sweep.train
+
+            def train(net, batch, params, on_epoch=None):
+                if net.config.seed == 2:
+                    Path(sys.argv[1] + ".tmp").write_text(str(os.getpid()))
+                    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+                    time.sleep(60)
+                return real_train(net, batch, params, on_epoch=on_epoch)
+
+            sweep.train = train
+            run_sweep(SweepConfig((GridRow((), 5),), (1, 2)), prepared_embedded(), TrainParams())
+        """)
+
+        def running(pid):  # a zombie has ended; only its reaper is missing
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        pid_file = tmp_path / "worker.pid"
+        sweep_proc = subprocess.Popen([sys.executable, "-c", script, str(pid_file)],
+                                      env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        worker = None
+        try:
+            deadline = time.monotonic() + 10
+            while not pid_file.exists():
+                assert sweep_proc.poll() is None and time.monotonic() < deadline, "no worker"
+                time.sleep(0.01)
+            worker = int(pid_file.read_text())
+            sweep_proc.kill()
+            sweep_proc.wait()
+            deadline = time.monotonic() + 10
+            while running(worker):
+                assert time.monotonic() < deadline, "the worker outlived its killed parent"
+                time.sleep(0.01)
+        finally:
+            sweep_proc.kill()
+            sweep_proc.wait()
+            if worker is not None and running(worker):
+                os.kill(worker, signal.SIGKILL)
 
     def test_shared_trajectories_match_separate_runs(self, dataset):
         two_logsig = (LayerSpec(2, LOGSIG),)

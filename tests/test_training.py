@@ -110,6 +110,13 @@ class TestTrainEpoch:
         assert step.learning_rate == lr
         assert step.mse == pytest.approx(49.0)
 
+    def test_a_velocity_with_a_transposed_weight_is_refused(self):
+        net = init_network(NetworkConfig(2, (LayerSpec(3, TANSIG), LayerSpec(1, TANSIG)), seed=1))
+        velocity = zero_gradients(net)
+        velocity.weights[0] = velocity.weights[0].T  # (2, 3) in place of (3, 2): same size
+        with pytest.raises(ValueError, match="^gradients are not shape-congruent with the network$"):
+            train_epoch(net, velocity, XOR_BATCH, params(), 0.01, previous_mse=None)
+
     def test_non_finite_candidate_takes_rejection_path(self):
         net = scalar_net()
         lr = 1e308  # update overflows to inf
