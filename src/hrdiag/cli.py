@@ -131,24 +131,26 @@ def cmd_train(args) -> int:
     config = NetworkConfig(3, layers, seed=args.seed)
     params = TrainParams(**{field: getattr(args, field) for field in TrainParams.__match_args__})
     net = init_network(config)
-    trained, trace = train(net, batch, params)
-    final_mse = evaluate(trained, batch)
-    if not np.isfinite(final_mse):
-        raise ValueError("training diverged to a non-finite MSE")
+    # Opened before training and replaced after it, as sweep's --csv is.
+    with (nullcontext() if args.model_out is None else _replacing(Path(args.model_out))) as out:
+        trained, trace = train(net, batch, params)
+        final_mse = evaluate(trained, batch)
+        if not np.isfinite(final_mse):
+            raise ValueError("training diverged to a non-finite MSE")
 
-    print(f"architecture: {config.label} (seed {args.seed})")
-    print(f"training patterns: {batch[0].shape[0]}")
-    if params.max_epochs == 0:
-        print("zero-epoch run: model keeps its initial random weights")
-    print(f"epochs run: {len(trace.records)} ({trace.stopping_reason.value})")
-    print(f"final training MSE: {final_mse:.6f}")
-    print(f"accuracy (100 - MSE): {accuracy_from_mse(final_mse):.6f}")
-    if rule is not None:
-        print(SURROGATE_CAVEAT)
-
+        print(f"architecture: {config.label} (seed {args.seed})")
+        print(f"training patterns: {batch[0].shape[0]}")
+        if params.max_epochs == 0:
+            print("zero-epoch run: model keeps its initial random weights")
+        print(f"epochs run: {len(trace.records)} ({trace.stopping_reason.value})")
+        print(f"final training MSE: {final_mse:.6f}")
+        print(f"accuracy (100 - MSE): {accuracy_from_mse(final_mse):.6f}")
+        if rule is not None:
+            print(SURROGATE_CAVEAT)
+        if out is not None:
+            model = model_from_training(trained, dataset.normalization, params, final_mse, rule)
+            save_model(model, out)
     if args.model_out is not None:
-        model = model_from_training(trained, dataset.normalization, params, final_mse, rule)
-        save_model(model, args.model_out)
         print(f"model written to {args.model_out}")
     return 0
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -104,8 +106,9 @@ def _model_dict(model: ModelFile) -> dict:
     }
 
 
-def save_model(model: ModelFile, path: str | Path) -> None:
-    with _replacing(Path(path)) as fh:
+def save_model(model: ModelFile, path: str | Path | TextIO) -> None:
+    """Write ``model`` to an open text file, or to a path through its ``.part`` sibling."""
+    with nullcontext(path) if hasattr(path, "write") else _replacing(Path(path)) as fh:
         fh.write(json.dumps(_model_dict(model), indent=2) + "\n")
 
 

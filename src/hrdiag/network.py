@@ -97,7 +97,7 @@ class Network:
     """Realized weight state for a :class:`NetworkConfig`.
 
     ``weights[k]`` has shape (fan_out, fan_in) and ``biases[k]`` shape
-    (fan_out,), with fan_in chaining from the previous layer.
+    (fan_out,), with fan_in chaining from the previous layer; both are held as float64.
     """
 
     config: NetworkConfig
@@ -105,6 +105,8 @@ class Network:
     biases: list[np.ndarray]
 
     def __post_init__(self):
+        self.weights = [np.asarray(W, dtype=float) for W in self.weights]
+        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
         fan_ins = self.config.fan_ins()
         if len(self.weights) != len(self.config.layers) or len(self.biases) != len(self.config.layers):
             raise ValueError("one weight matrix and one bias vector per layer required")
@@ -139,10 +141,10 @@ class Gradients:
 
 
 def zero_gradients(net: Network) -> Gradients:
-    """Gradients-shaped zeros, e.g. the initial momentum velocity."""
+    """Gradients-shaped float zeros in C order, the only ``out`` np.dot takes."""
     return Gradients(
-        [np.zeros_like(W) for W in net.weights],
-        [np.zeros_like(b) for b in net.biases],
+        [np.zeros(W.shape) for W in net.weights],
+        [np.zeros(b.shape) for b in net.biases],
     )
 
 
@@ -161,14 +163,18 @@ def init_network(config: NetworkConfig) -> Network:
     return Network(config, weights, biases)
 
 
-# Batches of at least this many rows take _Workspace's long-batch forms,
-# which give the bits of numpy's plain calls; shorter ones take the plain
-# calls, which cost less per call there.  µs per call on a (rows, 4) layer
-# (timeit, numpy 2.4, 1 BLAS thread); whole steps break even near 256 rows:
+# Batches of at least this many rows take _Workspace's long-batch forms, which
+# give the bits of numpy's plain calls; shorter ones take the plain calls (np.dot
+# for a product of two or more terms), cheaper per call there.  µs per call on a
+# (rows, 3) -> 4 layer (timeit, numpy 2.4, 1 BLAS thread); steps break even near 256 rows:
 #   rows    bias add: F / plain  bias sum: einsum / add.reduce  hand-back: broadcast / matmul
 #   52      1.38 / 1.29          1.92 / 1.81                    1.90 / 1.43
 #   256     3.66 / 3.82          3.96 / 6.36                    4.92 / 5.09
 #   20,000  57.4 / 123.6         74.5 / 345.8                   81.0 / 178.0
+#   rows    forward product: matmul / dot  weight gradient: matmul / dot
+#   52      1.02 / 0.68                    0.81 / 0.50
+#   256     1.65 / 1.29                    1.23 / 0.93
+#   20,000  21.5 / 32.1 (on the W.T copy)  42.6 / 42.2
 # The fourth form, a contiguous (fan_in, neurons) copy of W.T as the forward
 # product's operand: ~40-60 µs on 20,000 x 3 -> 4, the strided view ~120-180.
 _LONG_ROWS = 256
@@ -202,6 +208,10 @@ class _Workspace:
                           else None for fan_in, spec in zip(config.fan_ins(), layers)]
         # Elementwise, so "F" (rows axis innermost) changes no bit.
         self.bias_add = partial(np.add, order="F") if long else np.add
+        # np.dot skips matmul's gufunc dispatch and gives its bits on a product of two or
+        # more terms; on a one-term (outer) product a zero's sign or a NaN may differ.
+        self.forward_products = [np.matmul if long or n < 2 else np.dot for n in config.fan_ins()]
+        self.gradient_product = np.matmul if long or rows < 2 else np.dot
         # Bias gradients are delta's column sums.  einsum adds row after row,
         # as np.add.reduce (axis 0 by default) does for two or more columns;
         # one column add.reduce sums pairwise, so one-neuron layers keep it.
@@ -216,12 +226,12 @@ class _Workspace:
     def forward(self, weights, biases) -> None:
         """Fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
         acts = self.acts
-        for k, apply in enumerate(self.applies):
+        for k, (apply, product) in enumerate(zip(self.applies, self.forward_products)):
             z, W, copy = acts[k + 1], weights[k].T, self.weights_t[k]
             if copy is not None:
                 np.copyto(copy, W)
                 W = copy
-            np.matmul(acts[k], W, out=z)
+            product(acts[k], W, out=z)
             self.bias_add(z, biases[k], out=z)
             apply(z, self.work[k])
 
@@ -252,7 +262,7 @@ class _Workspace:
         derivs[-1](acts[-1], deriv)
         np.multiply(delta, deriv, out=delta)
         for k in range(len(work) - 1, -1, -1):
-            np.matmul(delta.T, acts[k], out=grad_w[k])
+            self.gradient_product(delta.T, acts[k], out=grad_w[k])
             self.bias_sums[k](delta, out=grad_b[k])
             if k > 0:
                 below, deriv, _ = work[k - 1]

@@ -409,14 +409,21 @@ def test_empty_input_path_names_its_argument(capsys, model_path, argv, message):
 # Each output flag, last, so that a path can follow it.
 OUTPUT_ARGV = {
     "-o": ["train", "--embedded", "--epochs", "3", "--quiet", "-o"],
+    "-o-not-quiet": ["train", "--embedded", "--epochs", "3", "-o"],
     "--csv": ["sweep", "--seeds", "1", "--quiet", "--csv"],
 }
+
+
+def forbid_training(monkeypatch):
+    """Make training and the sweep's grid fail the test if they run."""
+    for name in ("train", "run_sweep"):
+        monkeypatch.setattr(cli, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
 
 
 @pytest.mark.parametrize("path", ["out\x00.csv", "out\ud800.csv"], ids=["nul", "lone-surrogate"])
 @pytest.mark.parametrize("argv", OUTPUT_ARGV.values(), ids=OUTPUT_ARGV)
 def test_unopenable_output_path_is_named_in_the_one_error_line(capsys, monkeypatch, argv, path):
-    monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
+    forbid_training(monkeypatch)
     code, out, err = run(capsys, *argv, path)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path!r}: ") and err.count("\n") == 1, err
@@ -425,7 +432,7 @@ def test_unopenable_output_path_is_named_in_the_one_error_line(capsys, monkeypat
 @pytest.mark.parametrize("argv", OUTPUT_ARGV.values(), ids=OUTPUT_ARGV)
 def test_output_path_in_a_missing_directory_is_named_and_leaves_no_sibling(
         capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))
+    forbid_training(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv, "nodir/out") == (
         1, "", "error: [Errno 2] No such file or directory: 'nodir/out'\n")

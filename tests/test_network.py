@@ -206,8 +206,9 @@ class TestComputeMse:
 
 
 SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.0**-1022, -1e308, 1e308)
-# _Workspace takes numpy's plain calls below _LONG_ROWS rows and its
-# long-batch forms from there on: each kernel-form test pins both sides.
+# _Workspace takes numpy's plain calls (np.dot for a product of two or more
+# terms) below _LONG_ROWS rows and its long-batch forms from there on: each
+# kernel-form test pins both sides.
 EDGE_ROWS = (_LONG_ROWS - 1, _LONG_ROWS)
 
 
@@ -273,6 +274,48 @@ def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
 
 @settings(max_examples=80, deadline=None)
 @given(
+    rows=st.integers(1, 3000),
+    fan_in=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 1020),
+    specials=st.lists(st.tuples(st.booleans(), st.integers(0, 2**31),
+                                st.sampled_from(SPECIAL_VALUES)), max_size=8),
+)
+# One row makes the product a one-term (outer) product, whose zero sign
+# np.dot need not share with np.matmul: a 0.0 input against a negative delta.
+@example(rows=1, fan_in=1, cols=1, seed=4, spread=30,
+         specials=[(True, 0, 0.0), (False, 0, -1.0)])
+@example(rows=2, fan_in=3, cols=4, seed=4, spread=30,
+         specials=[(True, 1, 0.0), (False, 0, -1.0)])
+@example(rows=EDGE_ROWS[0], fan_in=3, cols=4, seed=4, spread=30,
+         specials=[(True, 1, -0.0), (False, 3, np.nan)])
+@example(rows=EDGE_ROWS[1], fan_in=3, cols=4, seed=4, spread=30,
+         specials=[(True, 1, -0.0), (False, 3, np.nan)])
+def test_weight_gradient_is_the_matmul_of_delta_and_inputs(rows, fan_in, cols, seed, spread,
+                                                          specials):
+    # Whichever entry point a batch length takes, the weight gradient must
+    # be the bytes of np.matmul(delta.T, inputs), zero signs and NaNs included.
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return np.ldexp(rng.standard_normal(shape), rng.integers(-spread, spread + 1, shape))
+
+    X, residual = draw((rows, fan_in)), draw((rows, cols))
+    for in_inputs, at, value in specials:
+        target = X if in_inputs else residual
+        target.flat[at % target.size] = value
+    work = _Workspace(NetworkConfig(fan_in, (LayerSpec(cols, PURELIN),)), X)
+    work.acts[1][:], work.residual[:] = 0.0, residual
+    grad_w, grad_b = [np.empty((cols, fan_in))], [np.empty(cols)]
+    with np.errstate(all="ignore"):
+        work.backward([np.zeros((cols, fan_in))], grad_w, grad_b)
+        want = np.matmul(work.work[0][0].T, X)  # the output delta against the inputs
+    assert grad_w[0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
     rows=st.one_of(st.integers(1, _LONG_ROWS - 1), st.integers(_LONG_ROWS, 3000)),
     widths=st.lists(st.integers(1, 6), min_size=2, max_size=3),
     kinds=st.lists(st.sampled_from(list(Activation)), min_size=2, max_size=2),
@@ -290,11 +333,21 @@ def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
 # contiguous copy of W.T gives +0.0 here where the view gives -0.0.
 @example(rows=2, widths=[1, 2, 3], kinds=[TANSIG, TANSIG], seed=0, spread=1,
          zero_biases=-0.0, specials=[(0, 0, 5e-324)])
+# A fan_in of 1 makes the product a one-term (outer) product, whose zero sign
+# np.dot need not share with np.matmul: an exact 0.0 against a negative weight,
+# plus a -0.0 bias, carries the product's sign to the output.  First an input
+# width of 1, then a one-neuron hidden layer whose output is that 0.0.
+@example(rows=1, widths=[1, 1], kinds=[PURELIN, PURELIN], seed=0, spread=1,
+         zero_biases=-0.0, specials=[(0, 0, 0.0), (1, 0, -1.0)])
+@example(rows=1, widths=[3, 1, 1], kinds=[TANSIG, TANSIG], seed=0, spread=1, zero_biases=-0.0,
+         specials=[(0, 0, 0.0), (0, 1, 0.0), (0, 2, 0.0), (1, 0, 1.0), (1, 1, 1.0), (1, 2, 1.0),
+                   (2, 0, -1.0)])
 def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, seed, spread,
                                                          zero_biases, specials):
-    # Below _LONG_ROWS the forward pass is numpy's plain calls, so its bytes
-    # must be those of np.matmul(a, W.T), the bias add and Activation.apply,
-    # layer by layer.  A long batch multiplies by a contiguous copy of W.T.
+    # Below _LONG_ROWS the forward pass takes np.dot (np.matmul for a fan_in
+    # of 1), the bias add and the transfer function, so its bytes must be
+    # those of np.matmul(a, W.T), the bias add and Activation.apply, layer by
+    # layer.  A long batch multiplies by a contiguous copy of W.T.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -338,6 +391,18 @@ class TestBackpropGradients:
         assert mse == 0.0
         for g in grads.weights + grads.biases:
             np.testing.assert_array_equal(g, np.zeros_like(g))
+
+    def test_the_weights_memory_layout_changes_no_gradient_bit(self):
+        config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=5)
+        net = init_network(config)
+        batch = random_batch(np.random.default_rng(6), config)
+        want, want_mse = backprop_gradients(net, batch)
+        for layout in (np.asfortranarray, lambda W: np.repeat(W, 2, axis=1)[:, ::2]):
+            grads, mse = backprop_gradients(Network(config, [layout(W) for W in net.weights],
+                                                    net.biases), batch)
+            assert mse == want_mse
+            for g, w in zip(grads.weights + grads.biases, want.weights + want.biases):
+                assert g.tobytes() == w.tobytes()
 
     def test_single_purelin_neuron_matches_hand_derivative(self):
         config = NetworkConfig(3, (LayerSpec(1, PURELIN),), seed=0)

@@ -179,6 +179,28 @@ class TestTrain:
         assert trace.final_mse < 0.01
         assert evaluate(trained, XOR_BATCH) == trace.final_mse
 
+    def test_float32_weights_and_inputs_train_as_their_float64_values(self):
+        # A Network holds float64, so float32 weights and a float32 batch,
+        # below and above _LONG_ROWS, give the bits of their float64 copies.
+        config = NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=2)
+        net = init_network(config)
+        rng = np.random.default_rng(9)
+        single = Network(config, [W.astype(np.float32) for W in net.weights],
+                         [b.astype(np.float32) for b in net.biases])
+        double = Network(config, [W.astype(np.float32).astype(float) for W in net.weights],
+                         [b.astype(np.float32).astype(float) for b in net.biases])
+        p = params(learning_rate=0.05, max_epochs=20)
+        for rows in (1, 52, network._LONG_ROWS):
+            X = rng.uniform(-1.0, 1.0, (rows, 3)).astype(np.float32)
+            T = rng.uniform(-0.9, 0.9, (rows, 1)).astype(np.float32)
+            wide = (X.astype(float), T.astype(float))
+            assert evaluate(single, (X, T)) == evaluate(double, wide)
+            assert _gradient_bytes(single, (X, T)) == _gradient_bytes(double, wide)
+            got, got_trace = train(single, (X, T), p)
+            want, want_trace = train(double, wide, p)
+            assert got_trace == want_trace
+            assert _bytes(*got.weights, *got.biases) == _bytes(*want.weights, *want.biases)
+
     def test_training_is_deterministic(self):
         config = NetworkConfig(2, (LayerSpec(2, TANSIG), LayerSpec(1, TANSIG)), seed=8)
         p = params(learning_rate=0.05, max_epochs=300)
