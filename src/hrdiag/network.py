@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .activations import _APPLY, _DERIV, Activation, scratch
+from .activations import _APPLY, _DERIV, _ZERO, Activation, scratch
 from .data import check_integer
 
 
@@ -164,8 +164,8 @@ def init_network(config: NetworkConfig) -> Network:
 
 
 # Batches of at least this many rows take _Workspace's long-batch forms, which
-# give the bits of numpy's plain calls; shorter ones take the plain calls (np.dot
-# for a product of two or more terms), cheaper per call there.  µs per call on a
+# give the bits of numpy's plain calls; shorter ones take the plain calls (np.dot for
+# two or more terms, logsig's sign(z) mask), cheaper per call there.  µs per call on a
 # (rows, 3) -> 4 layer (timeit, numpy 2.4, 1 BLAS thread); steps break even near 256 rows:
 #   rows    bias add: F / plain  bias sum: einsum / add.reduce  hand-back: broadcast / matmul
 #   52      1.38 / 1.29          1.92 / 1.81                    1.90 / 1.43
@@ -175,6 +175,10 @@ def init_network(config: NetworkConfig) -> Network:
 #   52      1.02 / 0.68                    0.81 / 0.50
 #   256     1.65 / 1.29                    1.23 / 0.93
 #   20,000  21.5 / 32.1 (on the W.T copy)  42.6 / 42.2
+#   rows    logsig mask and select: z >= 0 / sign(z)  scalar operand of np.add: float / 0-d
+#   52      1.36 / 0.85                               0.55 / 0.37
+#   256     2.03 / 1.73                               0.71 / 0.52
+#   20,000  78.6 / 110.0                              22.2 / 21.0
 # The fourth form, a contiguous (fan_in, neurons) copy of W.T as the forward
 # product's operand: ~40-60 µs on 20,000 x 3 -> 4, the strided view ~120-180.
 _LONG_ROWS = 256
@@ -198,11 +202,12 @@ class _Workspace:
         layers, rows = config.layers, X.shape[0]
         self.acts = [X] + [np.empty((rows, spec.neurons)) for spec in layers]
         self.residual = np.empty((rows, config.output_dim))
-        self.work = [scratch((rows, spec.neurons)) for spec in layers]
+        self.long = long = rows >= _LONG_ROWS
+        # A float64 mask gives logsig its sign(z) form, which has no SIMD loop on long batches.
+        self.work = [scratch((rows, spec.neurons), bool if long else float) for spec in layers]
         # Each layer's in-place transfer function and derivative, looked up once.
         self.applies = [_APPLY[spec.activation] for spec in layers]
         self.derivs = [_DERIV[spec.activation] for spec in layers]
-        self.long = long = rows >= _LONG_ROWS
         # One-neuron views of W.T are already contiguous: they keep the view (None).
         self.weights_t = [np.empty((fan_in, spec.neurons)) if long and spec.neurons > 1
                           else None for fan_in, spec in zip(config.fan_ins(), layers)]
@@ -218,6 +223,7 @@ class _Workspace:
         self.bias_sums = [partial(np.einsum, "ij->j") if long and spec.neurons > 1
                           else np.add.reduce for spec in layers]
         self.total = np.empty(())
+        self.mse_scale = np.array(2.0 / self.residual.size)
         # numpy's error state is a context variable: passes run through
         # ``quietly`` in this copy, so overflow shows in outputs, not warnings.
         with np.errstate(all="ignore"):
@@ -258,7 +264,7 @@ class _Workspace:
         """
         work, derivs, acts, residual = self.work, self.derivs, self.acts, self.residual
         delta, deriv, _ = work[-1]
-        np.multiply(residual, 2.0 / residual.size, out=delta)
+        np.multiply(residual, self.mse_scale, out=delta)
         derivs[-1](acts[-1], deriv)
         np.multiply(delta, deriv, out=delta)
         for k in range(len(work) - 1, -1, -1):
@@ -270,7 +276,7 @@ class _Workspace:
                     # The rank-1 product as a broadcast multiply, which is
                     # faster; adding 0.0 turns its -0.0 into matmul's +0.0.
                     np.multiply(delta, weights[k], out=below, order="F")
-                    np.add(below, 0.0, out=below)
+                    np.add(below, _ZERO, out=below)
                 else:
                     np.matmul(delta, weights[k], out=below)
                 derivs[k - 1](acts[k], deriv)

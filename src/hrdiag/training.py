@@ -200,6 +200,8 @@ class Trajectory:
         self._delta, self._g, self._scratch = (np.empty_like(p) for _ in range(3))
         self._grad_w, self._grad_b = _layer_views(self._g, net.config)
         self._finite = np.empty(p.shape, dtype=bool)
+        # 0-d float64 operands, which the update's ufuncs take without converting.
+        self._momentum, self._lr = np.array(params.momentum, dtype=float), np.empty(())
         # Whenever this is False the workspace's stack and residual hold the
         # current state's activations.  A rejected epoch leaves the state,
         # and so its gradient ``_g``, unchanged: it sets this, and the next
@@ -222,8 +224,9 @@ class Trajectory:
         cur, cand = self._cur, self._next
         if not self._gradient_current:
             self._work.backward(cur.weights, self._grad_w, self._grad_b)
-        np.multiply(self._v, params.momentum, out=self._delta)
-        np.multiply(self._g, lr, out=self._scratch)
+        self._lr[()] = lr
+        np.multiply(self._v, self._momentum, out=self._delta)
+        np.multiply(self._g, self._lr, out=self._scratch)
         np.subtract(self._delta, self._scratch, out=self._delta)
         np.add(cur.flat, self._delta, out=cand.flat)
         # An infinite weight feeding a saturating unit can still give a

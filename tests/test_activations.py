@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -106,34 +106,46 @@ def where_logsig(x):
         return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def logsig_in_place(x):
+def logsig_in_place(x, mask=bool):
+    """logsig of a copy of ``x`` through a scratch mask of dtype ``mask``:
+    bool takes the numerator mask z >= 0, float64 takes sign(z)."""
     z = x.copy()
-    logsig_into(z, scratch(z.shape))
+    logsig_into(z, scratch(z.shape, mask))
     return z
+
+
+# Both numerator masks: the epoch kernel takes sign(z) below network._LONG_ROWS rows.
+MASKS = (bool, float)
+SPECIALS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.0**-1022, -(2.0**-1022), 1e308, -1e308])
 
 
 def test_logsig_matches_where_form_bit_for_bit():
     # The in-place logsig computes one divide where the textbook stable
     # form computes two; every bit must agree, signed zero, inf and NaN
-    # included.
+    # included, with either mask.
     x = np.array([-np.inf, -1e6, -750.0, -36.0, -1.5, -1e-300, -0.0, 0.0, 1e-300,
                   0.7, 36.0, 750.0, np.inf, np.nan])
     x = np.concatenate([x, np.random.default_rng(5).normal(0.0, 8.0, size=2000)])
     reference = where_logsig(x)
     assert Activation.LOGSIG.apply(x).tobytes() == reference.tobytes()
-    assert logsig_in_place(x.reshape(-1, 2)).tobytes() == reference.tobytes()
+    for mask in MASKS:
+        assert logsig_in_place(x.reshape(-1, 2), mask).tobytes() == reference.tobytes(), mask
 
 
 @settings(deadline=None, max_examples=200)
 @given(x=hnp.arrays(np.float64, st.tuples(st.integers(1, 64), st.integers(1, 5)),
                     elements=st.floats(allow_subnormal=True)))
+@example(x=SPECIALS.reshape(-1, 2))
 def test_logsig_in_place_matches_where_form_on_any_floats(x):
     # NaN, +-inf, signed zeros and subnormals are all drawn.
-    assert logsig_in_place(x).tobytes() == where_logsig(x).tobytes()
+    for mask in MASKS:
+        assert logsig_in_place(x, mask).tobytes() == where_logsig(x).tobytes(), mask
 
 
 def test_logsig_in_place_matches_where_form_on_a_large_mixed_batch():
     # A 20,000-row 4/logsig hidden layer: the shape the epoch kernel runs
     # on its largest batches.
     x = np.random.default_rng(17).normal(0.0, 4.0, size=(20_000, 4))
-    assert logsig_in_place(x).tobytes() == where_logsig(x).tobytes()
+    for mask in MASKS:
+        assert logsig_in_place(x, mask).tobytes() == where_logsig(x).tobytes(), mask

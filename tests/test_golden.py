@@ -9,7 +9,8 @@ The digests also depend on the BLAS kernel.  They were pinned with
 numpy 2.4's OpenBLAS on its AVX-512 (SkylakeX) kernel; its Haswell and
 Sandybridge kernels, which a machine without AVX-512 gets, round some
 products differently, and six of the seven digests differ there.
-``OPENBLAS_VERBOSE=2`` makes OpenBLAS name the kernel it picked.
+A mismatch names the kernel and numpy's SIMD level it ran on, as does
+the suite's report header.
 """
 
 import hashlib
@@ -37,6 +38,8 @@ from hrdiag import (
 )
 from hrdiag.cli import main
 
+from helpers import platform_fingerprint
+
 GOLDEN = {
     "train_embedded": "77906d6bb89f1c3f449dfc520f5d21ecdbc23bacdec9a0ae3ff548694db05f3b",
     "train_deep_plain": "d0e222c21bda273e46d57e4107e706948a24d5fc7857306e114f32d3782f9771",
@@ -54,6 +57,13 @@ PROBES = [(1.0, 2.0, 1.0), (5.0, 5.0, 5.0), (2.5, 2.5, 2.5), (-1.0, 4.0, 0.1),
 
 def digest(value) -> str:
     return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+
+def check_digest(name, value) -> None:
+    core, level = platform_fingerprint()
+    assert digest(value) == GOLDEN[name], (
+        f"{name} digest differs on OpenBLAS core {core} with numpy SIMD level {level}; "
+        "the digests were pinned on SkylakeX with X86_V4")
 
 
 def pinned_run(net, trace) -> dict:
@@ -84,7 +94,7 @@ def test_canonical_train_embedded():
     batch = as_training_batch(prepared_embedded().training)
     config = NetworkConfig(3, (LayerSpec.parse("4/logsig"), LayerSpec.parse("1/tansig")), seed=42)
     trained, trace = train(init_network(config), batch, TrainParams())
-    assert digest(pinned_run(trained, trace)) == GOLDEN["train_embedded"]
+    check_digest("train_embedded", pinned_run(trained, trace))
 
 
 def test_deep_plain_descent():
@@ -94,13 +104,13 @@ def test_deep_plain_descent():
     layers = tuple(LayerSpec.parse(s) for s in ("3/tansig", "2/logsig", "1/tansig"))
     params = TrainParams(learning_rate=0.05, max_epochs=300, adaptive=False, error_goal=1e-9)
     trained, trace = train(init_network(NetworkConfig(3, layers, seed=7)), batch, params)
-    assert digest(pinned_run(trained, trace)) == GOLDEN["train_deep_plain"]
+    check_digest("train_deep_plain", pinned_run(trained, trace))
 
 
 def test_model_file_bytes(model_path):
     # Every byte except the wall-clock creation stamp.
     text = re.sub(r'"created_at": "[^"]*"', '"created_at": ""', model_path.read_text("utf-8"))
-    assert digest(text) == GOLDEN["model_bytes"]
+    check_digest("model_bytes", text)
 
 
 def test_diagnoses(model_path):
@@ -109,7 +119,7 @@ def test_diagnoses(model_path):
     for probe in PROBES:
         d = diagnose(model, probe)
         outputs.append([d.label.value, repr(d.raw_output)])
-    assert digest(outputs) == GOLDEN["diagnose"]
+    check_digest("diagnose", outputs)
 
 
 def test_cli_outputs(capsys, model_path):
@@ -119,16 +129,16 @@ def test_cli_outputs(capsys, model_path):
         run_cli(capsys, "eval", str(model_path), "--embedded", "--paper-validation"),
         run_cli(capsys, "predict", str(model_path), "3.5,2.0,4.0"),
     ]
-    assert digest(outputs) == GOLDEN["cli_outputs"]
+    check_digest("cli_outputs", outputs)
 
 
 def test_sweep_normalized():
     rows = run_sweep(canonical_grid(seeds=tuple(range(10))), prepared_embedded(), TrainParams())
-    assert digest(render_csv(rows)) == GOLDEN["sweep_normalized"]
+    check_digest("sweep_normalized", render_csv(rows))
 
 
 def test_sweep_raw():
     raw = load_embedded()
     dataset = Dataset(assign_surrogate_targets(raw.training), assign_surrogate_targets(raw.testing))
     rows = run_sweep(canonical_grid(seeds=tuple(range(10))), dataset, TrainParams())
-    assert digest(render_csv(rows)) == GOLDEN["sweep_raw"]
+    check_digest("sweep_raw", render_csv(rows))

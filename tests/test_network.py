@@ -329,6 +329,14 @@ def test_weight_gradient_is_the_matmul_of_delta_and_inputs(rows, fan_in, cols, s
          seed=3, spread=30, zero_biases=None, specials=[(0, 7, -0.0)])
 @example(rows=EDGE_ROWS[1], widths=[3, 4, 1], kinds=[Activation.LOGSIG, Activation.TANSIG],
          seed=3, spread=30, zero_biases=None, specials=[(0, 7, -0.0)])
+# A logsig layer on both sides of _LONG_ROWS, one form of its numerator mask
+# each (sign(z), then z >= 0), with NaN, +-inf and signed zeros in z.
+@example(rows=EDGE_ROWS[0], widths=[1, 4], kinds=[LOGSIG, LOGSIG], seed=5, spread=1,
+         zero_biases=-0.0, specials=[(0, 0, np.nan), (0, 1, np.inf), (0, 2, -np.inf),
+                                     (0, 3, 0.0), (0, 4, -0.0)])
+@example(rows=EDGE_ROWS[1], widths=[1, 4], kinds=[LOGSIG, LOGSIG], seed=5, spread=1,
+         zero_biases=-0.0, specials=[(0, 0, np.nan), (0, 1, np.inf), (0, 2, -np.inf),
+                                     (0, 3, 0.0), (0, 4, -0.0)])
 # A subnormal input whose products underflow: on OpenBLAS's AVX-512 kernel a
 # contiguous copy of W.T gives +0.0 here where the view gives -0.0.
 @example(rows=2, widths=[1, 2, 3], kinds=[TANSIG, TANSIG], seed=0, spread=1,
@@ -380,6 +388,14 @@ def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, se
                 assert got.tobytes() == want.tobytes()
             else:
                 np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows,mask", [(EDGE_ROWS[0], np.float64), (EDGE_ROWS[1], np.bool_)])
+def test_the_batch_length_picks_the_logsig_mask(rows, mask):
+    # A float64 mask buffer makes logsig take sign(z) as its numerator mask.
+    work = _Workspace(NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG))),
+                      np.zeros((rows, 3)))
+    assert [w[2].dtype for w in work.work] == [mask, mask]
 
 
 class TestBackpropGradients:

@@ -9,10 +9,12 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hrdiag import (
     Activation,
+    Dataset,
     GridRow,
     LayerSpec,
     NetworkConfig,
@@ -158,6 +160,18 @@ class TestRunSweep:
         net = init_network(NetworkConfig(3, layers, seed=7))
         trained, _ = train(net, as_training_batch(dataset.training), params)
         assert abs(evaluate(trained, as_training_batch(dataset.training)) - row.train_mse[0]) < 1e-12
+
+    @pytest.mark.parametrize("rows", [52, 256])
+    def test_rows_and_csv_hold_python_floats(self, dataset, rows):
+        # render_csv writes repr() of these, where a numpy scalar would read np.float64(...).
+        X, T = dataset.training
+        data = Dataset((np.resize(X, (rows, 3)), np.resize(T, (rows, 1))), dataset.testing)
+        sweep_rows = run_sweep(tiny_config(seeds=(1, 2)), data, TrainParams())
+        for row in sweep_rows:
+            values = (*row.train_mse, *row.test_mse, row.mean_mse, row.min_mse,
+                      row.mean_test_mse, row.error_goal, row.learning_rate)
+            assert all(type(v) is float for v in values)
+        assert "np.float64(" not in render_csv(sweep_rows)
 
     def test_fractional_budget_is_refused_not_reported(self, dataset):
         # Unchecked, the 2.5 row would report the 10-epoch row's result.

@@ -532,6 +532,21 @@ def test_short_and_long_batch_forms_train_the_same_bits(monkeypatch, layers):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("rows", [52, 256])
+def test_records_hold_python_floats(rows):
+    # The trace, the CLI and the sweep CSV print these with repr, where a
+    # numpy scalar would read np.float64(...).  The golden digests catch
+    # one only on the platform they were pinned on; this holds on every one.
+    X, T = as_training_batch(prepared_embedded().training)
+    batch = np.resize(X, (rows, 3)), np.resize(T, (rows, 1))
+    net = init_network(NetworkConfig(3, (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG))))
+    _, trace = train(net, batch, params(learning_rate=0.5, max_epochs=100))
+    assert not all(r.accepted for r in trace.records)
+    for r in trace.records:
+        assert type(r.mse) is float and type(r.learning_rate) is float
+    assert type(trace.final_mse) is float
+
+
 class TestQuietStep:
     """A step ignores floating-point errors in a numpy error state captured
     once per run; the caller's own state is neither changed nor used."""
