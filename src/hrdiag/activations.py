@@ -5,11 +5,14 @@ strings such as "4/logsig" read identically in configs, reports and
 saved models: tansig (tanh shape, range (-1, 1)), logsig (logistic
 sigmoid, range (0, 1)) and purelin (identity).
 
-Each function and derivative is one in-place function writing into
-buffers the caller owns (the training kernel allocates them once per
-run); logsig's picks its numerator mask by the dtype of the caller's
-mask buffer.  :meth:`Activation.apply` and
-:meth:`Activation.deriv_from_output` run them on fresh buffers.
+Each function and derivative is described once, as the numpy calls it
+makes in place on buffers the caller owns: a list of ``(function,
+arguments)`` pairs that :func:`run_calls` makes in order.  The training
+kernel builds these lists once per run, on buffers it allocates once;
+logsig picks its numerator mask call by the dtype of the mask buffer
+when its calls are built.  The ``*_into`` functions,
+:meth:`Activation.apply` and :meth:`Activation.deriv_from_output` build
+the calls and make them once.
 """
 
 from __future__ import annotations
@@ -23,18 +26,29 @@ _ZERO, _ONE = np.zeros(()), np.ones(())
 _ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
+def run_calls(calls) -> None:
+    """Make each ``(function, arguments)`` call of ``calls``, in order."""
+    for fn, args in calls:
+        fn(*args)
+
+
 def scratch(shape, mask=bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Temporaries for an in-place transfer function on an array of
     ``shape``: two float64 arrays and a mask of dtype ``mask``."""
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=mask)
 
 
-def tansig_into(z, work) -> None:
+def _maximum(x, y, out) -> None:
+    # numpy 2.4 deprecates a third positional argument to np.maximum.
+    np.maximum(x, y, out=out)
+
+
+def tansig_calls(z, work) -> list:
     """Tanh-shaped sigmoid, algebraically 2 / (1 + exp(-2z)) - 1, in place."""
-    np.tanh(z, out=z)
+    return [(np.tanh, (z, z))]
 
 
-def logsig_into(z, work) -> None:
+def logsig_calls(z, work) -> list:
     """Logistic sigmoid 1 / (1 + exp(-z)), in place.
 
     exp() is only taken of non-positive arguments, so extreme inputs
@@ -48,36 +62,28 @@ def logsig_into(z, work) -> None:
     e = 1 at z = +-0, e >= 0 > -1 below, and max returns its first NaN, e.
     """
     e, d, mask = work
-    np.abs(z, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.add(e, _ONE, out=d)
-    if mask.dtype == bool:
-        np.greater_equal(z, _ZERO, out=mask)
-    else:
-        np.sign(z, out=mask)
-    np.maximum(e, mask, out=e)
-    np.divide(e, d, out=z)
+    sign = (np.greater_equal, (z, _ZERO, mask)) if mask.dtype == bool else (np.sign, (z, mask))
+    return [(np.abs, (z, e)), (np.negative, (e, e)), (np.exp, (e, e)), (np.add, (e, _ONE, d)),
+            sign, (_maximum, (e, mask, e)), (np.divide, (e, d, z))]
 
 
-def purelin_into(z, work) -> None:
-    """Identity: nothing to do."""
+def purelin_calls(z, work) -> list:
+    """Identity: no call."""
+    return []
 
 
-def tansig_deriv_into(output, out) -> None:
+def tansig_deriv_calls(output, out) -> list:
     """Derivative of tansig written in terms of its output: 1 - o**2."""
-    np.square(output, out=out)
-    np.subtract(_ONE, out, out=out)
+    return [(np.square, (output, out)), (np.subtract, (_ONE, out, out))]
 
 
-def logsig_deriv_into(output, out) -> None:
+def logsig_deriv_calls(output, out) -> list:
     """Derivative of logsig written in terms of its output: o * (1 - o)."""
-    np.subtract(_ONE, output, out=out)
-    np.multiply(output, out, out=out)
+    return [(np.subtract, (_ONE, output, out)), (np.multiply, (output, out, out))]
 
 
-def purelin_deriv_into(output, out) -> None:
-    out.fill(1.0)
+def purelin_deriv_calls(output, out) -> list:
+    return [(out.fill, (1.0,))]
 
 
 class Activation(Enum):
@@ -90,25 +96,25 @@ class Activation(Enum):
     def apply(self, x):
         """The transfer function of ``x`` (a value or an array), freshly allocated."""
         z = np.array(x, dtype=float)
-        _APPLY[self](z, scratch(z.shape))
+        run_calls(_CALLS[self](z, scratch(z.shape)))
         return z[()]
 
     def deriv_from_output(self, output):
         """Derivative evaluated from the activation output, not the input."""
         output = np.asarray(output, dtype=float)
         out = np.empty_like(output)
-        _DERIV[self](output, out)
+        run_calls(_DERIV_CALLS[self](output, out))
         return out[()]
 
 
-_APPLY = {
-    Activation.TANSIG: tansig_into,
-    Activation.LOGSIG: logsig_into,
-    Activation.PURELIN: purelin_into,
-}
+_CALLS = dict(zip(Activation, (tansig_calls, logsig_calls, purelin_calls)))
+_DERIV_CALLS = dict(zip(Activation, (tansig_deriv_calls, logsig_deriv_calls, purelin_deriv_calls)))
 
-_DERIV = {
-    Activation.TANSIG: tansig_deriv_into,
-    Activation.LOGSIG: logsig_deriv_into,
-    Activation.PURELIN: purelin_deriv_into,
-}
+
+def _into(calls):
+    """The function that builds ``calls`` on the buffers it is given and makes them."""
+    return lambda *buffers: run_calls(calls(*buffers))
+
+
+tansig_into, logsig_into, purelin_into = map(_into, _CALLS.values())
+tansig_deriv_into, logsig_deriv_into, purelin_deriv_into = map(_into, _DERIV_CALLS.values())

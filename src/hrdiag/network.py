@@ -4,9 +4,8 @@ The public functions are pure over immutable-by-convention values: none
 mutates a :class:`Network` or :class:`Gradients` in place, and identical
 inputs produce bit-identical outputs.  Batch reductions use a fixed
 summation order, so results are reproducible across runs.  Underneath,
-one forward and one backward pass (:class:`_Workspace`) write into
-buffers the workspace allocates for its batch, so a training run
-allocates them once.
+:class:`_Workspace` builds each pass as numpy calls on buffers it
+allocates for its batch, and a training run allocates and builds them once.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .activations import _APPLY, _DERIV, _ZERO, Activation, scratch
+from .activations import _CALLS, _DERIV_CALLS, _ZERO, Activation, run_calls, scratch
 from .data import check_integer
 
 
@@ -186,7 +185,7 @@ _LONG_ROWS = 256
 
 class _Workspace:
     """The buffers of one network configuration on the batch inputs ``X``,
-    allocated here and reused by every pass.
+    allocated here, and the numpy calls of its passes on them.
 
     ``acts`` is the batch's one activation stack: X itself, then one
     (rows, neurons) array per layer; ``residual`` holds Y - T.  Layer k
@@ -196,18 +195,21 @@ class _Workspace:
     activation derivative; the output layer's second buffer also holds
     the squared residuals of the MSE.  Passes run one at a time, so the
     sharing is safe.
+
+    Each pass is described once, by the ``*_calls`` method that builds
+    its numpy calls on given parameter arrays, every kernel form picked
+    as they are built: a training run builds them once per run, a
+    one-shot pass once per call (see :func:`~hrdiag.activations.run_calls`).
     """
 
     def __init__(self, config: NetworkConfig, X: np.ndarray):
         layers, rows = config.layers, X.shape[0]
+        self.layers = layers
         self.acts = [X] + [np.empty((rows, spec.neurons)) for spec in layers]
         self.residual = np.empty((rows, config.output_dim))
         self.long = long = rows >= _LONG_ROWS
         # A float64 mask gives logsig its sign(z) form, which has no SIMD loop on long batches.
         self.work = [scratch((rows, spec.neurons), bool if long else float) for spec in layers]
-        # Each layer's in-place transfer function and derivative, looked up once.
-        self.applies = [_APPLY[spec.activation] for spec in layers]
-        self.derivs = [_DERIV[spec.activation] for spec in layers]
         # One-neuron views of W.T are already contiguous: they keep the view (None).
         self.weights_t = [np.empty((fan_in, spec.neurons)) if long and spec.neurons > 1
                           else None for fan_in, spec in zip(config.fan_ins(), layers)]
@@ -217,11 +219,6 @@ class _Workspace:
         # more terms; on a one-term (outer) product a zero's sign or a NaN may differ.
         self.forward_products = [np.matmul if long or n < 2 else np.dot for n in config.fan_ins()]
         self.gradient_product = np.matmul if long or rows < 2 else np.dot
-        # Bias gradients are delta's column sums.  einsum adds row after row,
-        # as np.add.reduce (axis 0 by default) does for two or more columns;
-        # one column add.reduce sums pairwise, so one-neuron layers keep it.
-        self.bias_sums = [partial(np.einsum, "ij->j") if long and spec.neurons > 1
-                          else np.add.reduce for spec in layers]
         self.total = np.empty(())
         self.mse_scale = np.array(2.0 / self.residual.size)
         # numpy's error state is a context variable: passes run through
@@ -229,59 +226,67 @@ class _Workspace:
         with np.errstate(all="ignore"):
             self.quietly = contextvars.copy_context().run
 
-    def forward(self, weights, biases) -> None:
-        """Fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
-        acts = self.acts
-        for k, (apply, product) in enumerate(zip(self.applies, self.forward_products)):
+    def forward_calls(self, weights, biases) -> list:
+        """The calls that fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
+        calls, acts = [], self.acts
+        for k, spec in enumerate(self.layers):
             z, W, copy = acts[k + 1], weights[k].T, self.weights_t[k]
             if copy is not None:
-                np.copyto(copy, W)
+                calls.append((np.copyto, (copy, W)))
                 W = copy
-            product(acts[k], W, out=z)
-            self.bias_add(z, biases[k], out=z)
-            apply(z, self.work[k])
+            calls += [(self.forward_products[k], (acts[k], W, z)), (self.bias_add, (z, biases[k], z)),
+                      *_CALLS[spec.activation](z, self.work[k])]
+        return calls
 
-    def score(self, weights, biases, T) -> float:
-        """Forward pass, then the batch MSE against ``T``.  The residual
-        Y - T is left in ``residual`` for :meth:`backward`."""
-        self.forward(weights, biases)
+    def score_calls(self, weights, biases, T) -> list:
+        """The forward pass's calls, then those that leave Y - T in ``residual``
+        and its sum of squares (np.mean's sum) in ``total`` for :meth:`score`."""
         squares, residual = self.work[-1][1], self.residual
-        np.subtract(self.acts[-1], T, out=residual)
-        np.square(residual, out=squares)
-        # The same sum and division as np.mean, without its per-call overhead.
-        np.add.reduce(squares, axis=None, out=self.total)
-        return float(self.total) / squares.size
+        return self.forward_calls(weights, biases) + [
+            (np.subtract, (self.acts[-1], T, residual)), (np.square, (residual, squares)),
+            (np.add.reduce, (squares, None, None, self.total))]
 
-    def backward(self, weights, grad_w, grad_b) -> None:
-        """Write the batch-MSE gradients of every weight and bias into the
-        ``grad_w``/``grad_b`` arrays, given the activations and residual of
-        the last :meth:`score` under ``weights``.
+    def score(self, calls) -> float:
+        """Make a score pass's ``calls`` and return its batch MSE, divided as np.mean does."""
+        run_calls(calls)
+        return float(self.total) / self.residual.size
+
+    def backward_calls(self, weights, grad_w, grad_b) -> list:
+        """The calls that write the batch-MSE gradients of every weight and
+        bias into the ``grad_w``/``grad_b`` arrays, given the activations
+        and residual of the last score pass under ``weights``.
 
         Standard backpropagation: the output-layer delta is the MSE
         derivative times the activation derivative (written in the
         activation output), and deltas chain backwards through the weight
         matrices.
         """
-        work, derivs, acts, residual = self.work, self.derivs, self.acts, self.residual
+        work, acts, layers = self.work, self.acts, self.layers
         delta, deriv, _ = work[-1]
-        np.multiply(residual, self.mse_scale, out=delta)
-        derivs[-1](acts[-1], deriv)
-        np.multiply(delta, deriv, out=delta)
+        calls = [(np.multiply, (self.residual, self.mse_scale, delta)),
+                 *_DERIV_CALLS[layers[-1].activation](acts[-1], deriv),
+                 (np.multiply, (delta, deriv, delta))]
         for k in range(len(work) - 1, -1, -1):
-            self.gradient_product(delta.T, acts[k], out=grad_w[k])
-            self.bias_sums[k](delta, out=grad_b[k])
+            calls.append((self.gradient_product, (delta.T, acts[k], grad_w[k])))
+            # Bias gradients are delta's column sums.  einsum adds row after row,
+            # as np.add.reduce (axis 0) does for two or more columns; on one
+            # column add.reduce sums pairwise, so one-neuron layers keep it.
+            calls.append((partial(np.einsum, "ij->j", out=grad_b[k]), (delta,))
+                         if self.long and layers[k].neurons > 1
+                         else (np.add.reduce, (delta, 0, None, grad_b[k])))
             if k > 0:
                 below, deriv, _ = work[k - 1]
-                if self.long and delta.shape[1] == 1:
+                if self.long and layers[k].neurons == 1:
                     # The rank-1 product as a broadcast multiply, which is
                     # faster; adding 0.0 turns its -0.0 into matmul's +0.0.
-                    np.multiply(delta, weights[k], out=below, order="F")
-                    np.add(below, _ZERO, out=below)
+                    calls += [(partial(np.multiply, order="F"), (delta, weights[k], below)),
+                              (np.add, (below, _ZERO, below))]
                 else:
-                    np.matmul(delta, weights[k], out=below)
-                derivs[k - 1](acts[k], deriv)
-                np.multiply(below, deriv, out=below)
+                    calls.append((np.matmul, (delta, weights[k], below)))
+                calls += [*_DERIV_CALLS[layers[k - 1].activation](acts[k], deriv),
+                          (np.multiply, (below, deriv, below))]
                 delta = below
+        return calls
 
 
 def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -296,7 +301,7 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
     work = _Workspace(net.config, x[np.newaxis, :])
-    work.quietly(work.forward, net.weights, net.biases)
+    work.quietly(run_calls, work.forward_calls(net.weights, net.biases))
     return work.acts[-1][0], [a[0] for a in work.acts[1:]]
 
 
@@ -330,12 +335,12 @@ def _score_batch(net: Network, batch):
     batch's activations and Y - T, and the batch MSE."""
     X, T = as_batch_arrays(batch, net)
     work = _Workspace(net.config, X)
-    return work, work.quietly(work.score, net.weights, net.biases, T)
+    return work, work.quietly(work.score, work.score_calls(net.weights, net.biases, T))
 
 
 def backprop_gradients(net: Network, batch) -> tuple[Gradients, float]:
     """Gradients of the batch MSE for every weight and bias, plus that MSE."""
     work, mse = _score_batch(net, batch)
     grads = zero_gradients(net)
-    work.quietly(work.backward, net.weights, grads.weights, grads.biases)
+    work.quietly(run_calls, work.backward_calls(net.weights, grads.weights, grads.biases))
     return grads, mse

@@ -20,7 +20,8 @@ improvement.
 
 A non-finite candidate MSE (numerical divergence) always takes the
 rejection path, whether or not adaptive mode is on, so divergent steps can
-never poison the parameters.
+never poison the parameters.  A :class:`Trajectory` builds every numpy call
+of its epochs once, when the run starts, and each epoch runs them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .activations import run_calls
 from .data import check_finite_number, check_integer
 from .network import (
     Gradients,
@@ -65,9 +67,11 @@ class TrainParams:
     adaptive: bool = True
 
     def __post_init__(self):
+        fields = self.__dict__  # frozen, so each checked number goes in as a float here
         for name in ("learning_rate", "momentum", "error_goal", "lr_increase",
                      "lr_decrease", "max_error_ratio"):
-            check_finite_number(name, getattr(self, name))
+            check_finite_number(name, fields[name])
+            fields[name] = float(fields[name])
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
@@ -172,19 +176,19 @@ class Trajectory:
     any epoch without rerunning the prefix.
 
     The batch is validated once, and every array an epoch touches is
-    allocated here, once per run: O(rows x layer widths) floats in all.
-    Two parameter states, current and candidate, each hold a flat vector
-    with per-layer views; an accepted candidate swaps the two.  Velocity
-    and gradient are flat vectors too.  One :class:`_Workspace` holds the
-    batch's one activation stack and residual, and each epoch runs one
-    forward pass into it, the candidate's re-scoring.  If the candidate
-    is accepted, those activations feed the next epoch's gradient; if it
-    is rejected, the network is unchanged and so is its gradient, which
-    the next epoch reuses without reading the stack.
+    allocated here, once per run: O(rows x layer widths) floats in all,
+    two parameter states (flat, with per-layer views) and two velocities
+    among them.  In phase p, state p is current and velocity p live; the
+    update writes the step into velocity 1-p and the candidate into state
+    1-p, and an accepted candidate flips the phase.  Each phase's numpy
+    calls are built here too: its backward pass, update and re-scoring of
+    the candidate, the epoch's one forward pass.  An accepted candidate's
+    activations feed the next epoch's gradient; a rejected one leaves the
+    network, and so its gradient, unchanged for the next epoch to reuse.
     """
 
     def __init__(self, net: Network, batch, params: TrainParams):
-        X, self._T = as_batch_arrays(batch, net)
+        X, T = as_batch_arrays(batch, net)
         self._config = net.config
         self.params = params
         self.learning_rate = params.learning_rate
@@ -192,26 +196,36 @@ class Trajectory:
         self.epoch = 0
         self.stopping_reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
 
-        self._work = _Workspace(net.config, X)
+        self._work = work = _Workspace(net.config, X)
         p = _flat(net.weights, net.biases)
-        self._cur, self._next = (_State(flat, *_layer_views(flat, net.config))
-                                 for flat in (p, np.empty_like(p)))
-        self._v = np.zeros_like(p)
-        self._delta, self._g, self._scratch = (np.empty_like(p) for _ in range(3))
-        self._grad_w, self._grad_b = _layer_views(self._g, net.config)
+        states = [_State(flat, *_layer_views(flat, net.config)) for flat in (p, np.empty_like(p))]
+        self._states, self._velocities = states, [np.zeros_like(p), np.zeros_like(p)]
+        g, scaled = np.empty_like(p), np.empty_like(p)
         self._finite = np.empty(p.shape, dtype=bool)
         # 0-d float64 operands, which the update's ufuncs take without converting.
-        self._momentum, self._lr = np.array(params.momentum, dtype=float), np.empty(())
+        momentum, self._lr = np.array(params.momentum, dtype=float), np.empty(())
+        # Per phase: the backward plan, the update plan and the candidate's score plan.
+        self._plans = [(work.backward_calls(cur.weights, *_layer_views(g, net.config)),
+                        [(np.multiply, (v, momentum, step)), (np.multiply, (g, self._lr, scaled)),
+                         (np.subtract, (step, scaled, step)), (np.add, (cur.flat, step, cand.flat)),
+                         # An infinite weight feeding a saturating unit can still give
+                         # a finite MSE, so the parameters themselves must be checked.
+                         (np.isfinite, (cand.flat, self._finite))],
+                        work.score_calls(cand.weights, cand.biases, T))
+                       for cur, cand, v, step in zip(states, states[::-1], self._velocities,
+                                                     self._velocities[::-1])]
+        self._phase = 0
         # Whenever this is False the workspace's stack and residual hold the
         # current state's activations.  A rejected epoch leaves the state,
-        # and so its gradient ``_g``, unchanged: it sets this, and the next
-        # epoch skips the backward pass.
+        # and so its gradient, unchanged: it sets this, and the next epoch
+        # skips the backward pass.
         self._gradient_current = False
-        self._work.quietly(self._score, self._cur)
+        work.quietly(run_calls, self._plans[1][2])  # state 0 is phase 1's candidate
         self._snapshot: Network | None = net
 
-    def _score(self, state: _State) -> float:
-        return self._work.score(state.weights, state.biases, self._T)
+    @property
+    def _v(self) -> np.ndarray:  # the live velocity
+        return self._velocities[self._phase]
 
     def step(self) -> EpochRecord:
         """Run one full-batch update attempt, ignoring goal and budget."""
@@ -221,19 +235,13 @@ class Trajectory:
 
     def _step(self) -> EpochRecord:
         params, lr, previous = self.params, self.learning_rate, self.previous_mse
-        cur, cand = self._cur, self._next
+        backward, update, score = self._plans[self._phase]
         if not self._gradient_current:
-            self._work.backward(cur.weights, self._grad_w, self._grad_b)
+            run_calls(backward)
         self._lr[()] = lr
-        np.multiply(self._v, self._momentum, out=self._delta)
-        np.multiply(self._g, self._lr, out=self._scratch)
-        np.subtract(self._delta, self._scratch, out=self._delta)
-        np.add(cur.flat, self._delta, out=cand.flat)
-        # An infinite weight feeding a saturating unit can still give a
-        # finite MSE, so the parameters themselves must be checked.
-        np.isfinite(cand.flat, out=self._finite)
+        run_calls(update)
         finite = np.count_nonzero(self._finite) == self._finite.size
-        cand_mse = self._score(cand) if finite else math.nan
+        cand_mse = self._work.score(score) if finite else math.nan
 
         worse_than_allowed = (
             params.adaptive and previous is not None
@@ -248,8 +256,7 @@ class Trajectory:
         else:
             mse = cand_mse
             accepted = True
-            self._cur, self._next = cand, cur
-            self._v, self._delta = self._delta, self._v
+            self._phase ^= 1
             self._snapshot = None
             if params.adaptive and previous is not None and cand_mse < previous:
                 self.learning_rate = params.lr_increase * lr
@@ -273,7 +280,7 @@ class Trajectory:
         """The network as of the last epoch run (the start network before
         any epoch); unchanged parameters give back the same object."""
         if self._snapshot is None:
-            cur = self._cur
+            cur = self._states[self._phase]
             self._snapshot = Network(self._config, [W.copy() for W in cur.weights],
                                      [b.copy() for b in cur.biases])
         return self._snapshot

@@ -172,14 +172,15 @@ class TestEval:
         assert code != 0 and "targets required" in err
 
     def test_one_forward_pass_gives_mse_and_confusion(self, capsys, model_path, monkeypatch):
+        # A one-shot pass builds its calls and runs them once: count the builds.
         calls = []
-        forward = _Workspace.forward
+        forward_calls = _Workspace.forward_calls
 
         def counted(self, *args):
             calls.append(args)
-            return forward(self, *args)
+            return forward_calls(self, *args)
 
-        monkeypatch.setattr(_Workspace, "forward", counted)
+        monkeypatch.setattr(_Workspace, "forward_calls", counted)
         code, out, _ = run(capsys, "eval", str(model_path), "--embedded")
         assert code == 0 and "test MSE" in out and "confusion" in out
         assert len(calls) == 1

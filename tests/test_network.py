@@ -15,6 +15,7 @@ from hrdiag import (
     forward,
     init_network,
 )
+from hrdiag.activations import run_calls
 from hrdiag.network import _LONG_ROWS, _Workspace, as_batch_arrays
 
 from helpers import fd_gradients, gradient_check, random_batch, random_config
@@ -236,7 +237,7 @@ def test_bias_gradient_is_the_axis0_reduce_of_delta(rows, cols, seed, spread, sp
     work.acts[1][:], work.residual[:] = 0.0, residual
     grad_w, grad_b = [np.empty((cols, 1))], [np.empty(cols)]
     with np.errstate(all="ignore"):
-        work.backward([np.zeros((cols, 1))], grad_w, grad_b)
+        run_calls(work.backward_calls([np.zeros((cols, 1))], grad_w, grad_b))
         want = np.add.reduce(work.work[0][0], axis=0)  # the output delta
     assert grad_b[0].tobytes() == want.tobytes()
 
@@ -267,7 +268,7 @@ def test_one_neuron_hand_back_is_the_matmul(rows, cols, seed, spread, specials):
     work.acts[1][:], work.acts[2][:], work.residual[:] = 0.0, 0.0, residual
     grad_w, grad_b = [np.empty((cols, 1)), np.empty((1, cols))], [np.empty(cols), np.empty(1)]
     with np.errstate(all="ignore"):
-        work.backward([np.zeros((cols, 1)), W], grad_w, grad_b)
+        run_calls(work.backward_calls([np.zeros((cols, 1)), W], grad_w, grad_b))
         want = np.matmul(work.work[1][0], W)  # the output delta, handed back
     assert work.work[0][0].tobytes() == want.tobytes()
 
@@ -309,7 +310,7 @@ def test_weight_gradient_is_the_matmul_of_delta_and_inputs(rows, fan_in, cols, s
     work.acts[1][:], work.residual[:] = 0.0, residual
     grad_w, grad_b = [np.empty((cols, fan_in))], [np.empty(cols)]
     with np.errstate(all="ignore"):
-        work.backward([np.zeros((cols, fan_in))], grad_w, grad_b)
+        run_calls(work.backward_calls([np.zeros((cols, fan_in))], grad_w, grad_b))
         want = np.matmul(work.work[0][0].T, X)  # the output delta against the inputs
     assert grad_w[0].tobytes() == want.tobytes()
 
@@ -371,7 +372,7 @@ def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, se
     work = _Workspace(NetworkConfig(widths[0], layers), X)
     exact = True
     with np.errstate(all="ignore"):
-        work.forward(weights, biases)
+        run_calls(work.forward_calls(weights, biases))
         want = X
         for got, W, b, spec in zip(work.acts[1:], weights, biases, layers):
             a = want[:, np.newaxis, :]

@@ -173,6 +173,19 @@ class TestRunSweep:
             assert all(type(v) is float for v in values)
         assert "np.float64(" not in render_csv(sweep_rows)
 
+    def test_an_integer_rate_and_goal_give_the_float_csv(self, dataset):
+        # TrainParams stores its real-valued fields as floats, so equal
+        # parameter sets give the same CSV bytes, and every record's rate
+        # is a float, however the caller spelt the numbers.
+        csvs = [render_csv(run_sweep(tiny_config(seeds=(1, 2)), dataset,
+                                     TrainParams(learning_rate=rate, error_goal=goal))).encode()
+                for rate, goal in ((1, 1), (1.0, 1.0))]
+        assert csvs[0] == csvs[1]
+        net = init_network(NetworkConfig(3, (LayerSpec(2, LOGSIG), LayerSpec(1, TANSIG))))
+        _, trace = train(net, as_training_batch(dataset.training),
+                         TrainParams(learning_rate=1, max_epochs=20))
+        assert all(type(r.learning_rate) is float for r in trace.records)
+
     def test_fractional_budget_is_refused_not_reported(self, dataset):
         # Unchecked, the 2.5 row would report the 10-epoch row's result.
         with pytest.raises(ValueError, match="^epochs must be an integer, got 2.5$"):

@@ -450,18 +450,33 @@ class TestTrainMatchesFormulas:
 def test_backward_runs_once_per_epoch_after_an_accepted_one():
     # A rejected epoch leaves the network, and so its gradient, unchanged:
     # the next epoch reuses that gradient instead of running backward again.
+    # Each phase's backward plan starts with a call that counts its runs.
     run = Trajectory(init_network(TestTrainMatchesHandSteppedEpochs.CONFIG), XOR_BATCH,
                      params(learning_rate=3.0, max_epochs=60))
-    backward, calls = run._work.backward, []
-
-    def counted(*args):
-        calls.append(run.epoch + 1)
-        backward(*args)
-
-    run._work.backward = counted
+    calls = []
+    for backward, _, _ in run._plans:
+        backward.insert(0, (lambda: calls.append(run.epoch + 1), ()))
     records = list(run)
     assert not all(r.accepted for r in records)
     assert calls == [1] + [r.epoch + 1 for r in records[:-1] if r.accepted]
+
+
+def test_plans_are_built_with_the_run_never_per_epoch(monkeypatch):
+    # Every numpy call of an epoch is bound when the run starts: a step,
+    # accepted or rejected, runs the plans and builds none.
+    builds = []
+    for name in ("forward_calls", "score_calls", "backward_calls"):
+        def counted(self, *args, _build=getattr(network._Workspace, name), _name=name):
+            builds.append(_name)
+            return _build(self, *args)
+        monkeypatch.setattr(network._Workspace, name, counted)
+    run = Trajectory(init_network(TestTrainMatchesHandSteppedEpochs.CONFIG), XOR_BATCH,
+                     params(learning_rate=3.0, max_epochs=50))
+    assert set(builds) == {"forward_calls", "score_calls", "backward_calls"}
+    built = len(builds)
+    records = [run.step() for _ in range(50)]
+    assert {r.accepted for r in records} == {True, False}
+    assert len(builds) == built
 
 
 LARGE_ROWS = 20_000
@@ -510,9 +525,16 @@ def test_epochs_allocate_no_batch_sized_arrays():
     assert peak - base < LARGE_ROWS * 8
 
 
-@pytest.mark.parametrize("layers", [(LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)),
-                                    (LayerSpec(1, TANSIG),)],
-                         ids=["4/logsig+1/tansig", "1/tansig"])
+# Between them these stacks take every per-kind call builder in both batch forms.
+KERNEL_STACKS = pytest.mark.parametrize("layers", [
+    (LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)),
+    (LayerSpec(1, TANSIG),),
+    (LayerSpec(3, PURELIN), LayerSpec(1, TANSIG)),
+    (LayerSpec(3, LOGSIG), LayerSpec(2, TANSIG), LayerSpec(1, TANSIG)),
+], ids=["4/logsig+1/tansig", "1/tansig", "3/purelin+1/tansig", "3/logsig+2/tansig+1/tansig"])
+
+
+@KERNEL_STACKS
 def test_short_and_long_batch_forms_train_the_same_bits(monkeypatch, layers):
     # The same 300-row run with the workspace's plain numpy calls and with
     # its long-batch forms: records and parameters must agree bit for bit.
@@ -530,6 +552,25 @@ def test_short_and_long_batch_forms_train_the_same_bits(monkeypatch, layers):
         results.append((records, [a.tobytes() for a in trained.weights + trained.biases]))
     assert len(results[0][0]) == 60
     assert results[0] == results[1]
+
+
+@KERNEL_STACKS
+@pytest.mark.parametrize("rows", [52, 300])
+def test_an_accepted_mse_is_the_networks_evaluate(layers, rows):
+    # Each phase's plans are bound to its own states: a score plan bound to
+    # the other phase's buffers would report an MSE of the wrong network.
+    rng = np.random.default_rng(9)
+    batch = rng.uniform(-1.0, 1.0, size=(rows, 3)), rng.choice([-0.9, 0.9], size=(rows, 1))
+    checked = []
+
+    def check(record, run):
+        if record.accepted:
+            assert run.previous_mse == evaluate(run.network(), batch)
+        checked.append(record.accepted)
+
+    train(init_network(NetworkConfig(3, layers, seed=6)), batch,
+          params(learning_rate=2.0, max_epochs=60), on_epoch=check)
+    assert sum(checked) > 2 and not all(checked)
 
 
 @pytest.mark.parametrize("rows", [52, 256])
