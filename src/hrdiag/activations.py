@@ -93,6 +93,8 @@ class Activation(Enum):
     LOGSIG = "logsig"
     PURELIN = "purelin"
 
+    __hash__ = object.__hash__  # agrees with ==, identity; Enum's own hash runs Python code
+
     def apply(self, x):
         """The transfer function of ``x`` (a value or an array), freshly allocated."""
         z = np.array(x, dtype=float)

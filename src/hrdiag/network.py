@@ -162,18 +162,18 @@ def init_network(config: NetworkConfig) -> Network:
     return Network(config, weights, biases)
 
 
-# Batches of at least this many rows take _Workspace's long-batch forms, which
-# give the bits of numpy's plain calls; shorter ones take the plain calls (np.dot for
-# two or more terms, logsig's sign(z) mask), cheaper per call there.  µs per call on a
-# (rows, 3) -> 4 layer (timeit, numpy 2.4, 1 BLAS thread); steps break even near 256 rows:
+# Batches of at least this many rows take _Workspace's long-batch forms, which give the bits
+# of numpy's plain calls; shorter ones take the plain calls (np.dot for two or more terms,
+# logsig's sign(z) mask), cheaper per call there.  µs per call on a (rows, 3) -> 4 layer, or
+# one neuron's (rows, 1) (timeit, numpy 2.4, 1 BLAS thread); steps break even near 256 rows:
 #   rows    bias add: F / plain  bias sum: einsum / add.reduce  hand-back: broadcast / matmul
 #   52      1.38 / 1.29          1.92 / 1.81                    1.90 / 1.43
 #   256     3.66 / 3.82          3.96 / 6.36                    4.92 / 5.09
 #   20,000  57.4 / 123.6         74.5 / 345.8                   81.0 / 178.0
-#   rows    forward product: matmul / dot  weight gradient: matmul / dot
-#   52      1.02 / 0.68                    0.81 / 0.50
-#   256     1.65 / 1.29                    1.23 / 0.93
-#   20,000  21.5 / 32.1 (on the W.T copy)  42.6 / 42.2
+#   rows    forward product: matmul / dot  weight gradient: matmul / dot  1 neuron add, sum: 2-D / 1-D
+#   52      1.02 / 0.68                    0.81 / 0.50                    0.81 / 0.38, 0.80 / 0.76
+#   256     1.65 / 1.29                    1.23 / 0.93                    0.80 / 0.37, 0.82 / 0.78
+#   20,000  21.5 / 32.1 (on the W.T copy)  42.6 / 42.2                    4.71 / 4.25, 5.78 / 5.84
 #   rows    logsig mask and select: z >= 0 / sign(z)  scalar operand of np.add: float / 0-d
 #   52      1.36 / 0.85                               0.55 / 0.37
 #   256     2.03 / 1.73                               0.71 / 0.52
@@ -230,24 +230,25 @@ class _Workspace:
         """The calls that fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
         calls, acts = [], self.acts
         for k, spec in enumerate(self.layers):
-            z, W, copy = acts[k + 1], weights[k].T, self.weights_t[k]
+            z, W, b, copy = acts[k + 1], weights[k].T, biases[k], self.weights_t[k]
             if copy is not None:
                 calls.append((np.copyto, (copy, W)))
                 W = copy
-            calls += [(self.forward_products[k], (acts[k], W, z)), (self.bias_add, (z, biases[k], z)),
+            y, b = (z[:, 0], b[..., 0]) if spec.neurons == 1 else (z, b)  # 1 neuron: no broadcast
+            calls += [(self.forward_products[k], (acts[k], W, z)), (self.bias_add, (y, b, y)),
                       *_CALLS[spec.activation](z, self.work[k])]
         return calls
 
     def score_calls(self, weights, biases, T) -> list:
         """The forward pass's calls, then those that leave Y - T in ``residual``
-        and its sum of squares (np.mean's sum) in ``total`` for :meth:`score`."""
+        and its sum of squares (np.mean's sum, on a 1-D view) in ``total`` for :meth:`score`."""
         squares, residual = self.work[-1][1], self.residual
         return self.forward_calls(weights, biases) + [
             (np.subtract, (self.acts[-1], T, residual)), (np.square, (residual, squares)),
-            (np.add.reduce, (squares, None, None, self.total))]
+            (np.add.reduce, (squares.reshape(-1), None, None, self.total))]
 
     def score(self, calls) -> float:
-        """Make a score pass's ``calls`` and return its batch MSE, divided as np.mean does."""
+        """Make ``calls``, ending with a score pass's, and return its MSE, divided as np.mean does."""
         run_calls(calls)
         return float(self.total) / self.residual.size
 
@@ -269,14 +270,15 @@ class _Workspace:
         for k in range(len(work) - 1, -1, -1):
             calls.append((self.gradient_product, (delta.T, acts[k], grad_w[k])))
             # Bias gradients are delta's column sums.  einsum adds row after row,
-            # as np.add.reduce (axis 0) does for two or more columns; on one
-            # column add.reduce sums pairwise, so one-neuron layers keep it.
-            calls.append((partial(np.einsum, "ij->j", out=grad_b[k]), (delta,))
-                         if self.long and layers[k].neurons > 1
+            # as np.add.reduce (axis 0) does for two or more columns; one column,
+            # reduced as 1-D into a 0-d view, add.reduce sums pairwise.
+            one = layers[k].neurons == 1
+            calls.append((np.add.reduce, (delta[:, 0], 0, None, grad_b[k][..., 0])) if one
+                         else (partial(np.einsum, "ij->j", out=grad_b[k]), (delta,)) if self.long
                          else (np.add.reduce, (delta, 0, None, grad_b[k])))
             if k > 0:
                 below, deriv, _ = work[k - 1]
-                if self.long and layers[k].neurons == 1:
+                if self.long and one:
                     # The rank-1 product as a broadcast multiply, which is
                     # faster; adding 0.0 turns its -0.0 into matmul's +0.0.
                     calls += [(partial(np.multiply, order="F"), (delta, weights[k], below)),

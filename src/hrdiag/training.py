@@ -94,8 +94,7 @@ class StoppingReason(Enum):
     EPOCH_BUDGET_EXHAUSTED = "epoch_budget_exhausted"
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     """One trace row: the MSE reported for the epoch, the learning rate the
     epoch's update attempt used, and whether the update was accepted.
 
@@ -181,10 +180,10 @@ class Trajectory:
     among them.  In phase p, state p is current and velocity p live; the
     update writes the step into velocity 1-p and the candidate into state
     1-p, and an accepted candidate flips the phase.  Each phase's numpy
-    calls are built here too: its backward pass, update and re-scoring of
-    the candidate, the epoch's one forward pass.  An accepted candidate's
-    activations feed the next epoch's gradient; a rejected one leaves the
-    network, and so its gradient, unchanged for the next epoch to reuse.
+    calls are built here too, as two plans: backward pass, update, check
+    and re-scoring of the candidate (the epoch's one forward pass), and the
+    same without the backward pass, for the epoch after a rejected one,
+    whose network, and so its gradient, is unchanged.
     """
 
     def __init__(self, net: Network, batch, params: TrainParams):
@@ -200,27 +199,26 @@ class Trajectory:
         p = _flat(net.weights, net.biases)
         states = [_State(flat, *_layer_views(flat, net.config)) for flat in (p, np.empty_like(p))]
         self._states, self._velocities = states, [np.zeros_like(p), np.zeros_like(p)]
-        g, scaled = np.empty_like(p), np.empty_like(p)
-        self._finite = np.empty(p.shape, dtype=bool)
-        # 0-d float64 operands, which the update's ufuncs take without converting.
-        momentum, self._lr = np.array(params.momentum, dtype=float), np.empty(())
-        # Per phase: the backward plan, the update plan and the candidate's score plan.
-        self._plans = [(work.backward_calls(cur.weights, *_layer_views(g, net.config)),
-                        [(np.multiply, (v, momentum, step)), (np.multiply, (g, self._lr, scaled)),
+        g, scaled, zeros = np.empty_like(p), np.empty_like(p), np.zeros_like(p)
+        # 0-d float64 operands and output, which ufuncs take without converting.
+        momentum, self._lr, self._flag = np.array(params.momentum), np.empty(()), np.empty(())
+        self._plans = []  # per phase, indexed by _gradient_current: with and without backward
+        for cur, cand, v, step in zip(states, states[::-1], self._velocities, self._velocities[::-1]):
+            candidate = [(np.multiply, (v, momentum, step)), (np.multiply, (g, self._lr, scaled)),
                          (np.subtract, (step, scaled, step)), (np.add, (cur.flat, step, cand.flat)),
-                         # An infinite weight feeding a saturating unit can still give
-                         # a finite MSE, so the parameters themselves must be checked.
-                         (np.isfinite, (cand.flat, self._finite))],
-                        work.score_calls(cand.weights, cand.biases, T))
-                       for cur, cand, v, step in zip(states, states[::-1], self._velocities,
-                                                     self._velocities[::-1])]
+                         # An infinite weight feeding a saturating unit can still give a finite
+                         # MSE, so the parameters themselves must be checked (see _step).
+                         (np.dot, (cand.flat, zeros, self._flag)),
+                         *work.score_calls(cand.weights, cand.biases, T)]
+            backward = work.backward_calls(cur.weights, *_layer_views(g, net.config))
+            self._plans.append((backward + candidate, candidate))
         self._phase = 0
         # Whenever this is False the workspace's stack and residual hold the
         # current state's activations.  A rejected epoch leaves the state,
         # and so its gradient, unchanged: it sets this, and the next epoch
         # skips the backward pass.
         self._gradient_current = False
-        work.quietly(run_calls, self._plans[1][2])  # state 0 is phase 1's candidate
+        work.quietly(run_calls, work.score_calls(net.weights, net.biases, T))
         self._snapshot: Network | None = net
 
     @property
@@ -235,13 +233,11 @@ class Trajectory:
 
     def _step(self) -> EpochRecord:
         params, lr, previous = self.params, self.learning_rate, self.previous_mse
-        backward, update, score = self._plans[self._phase]
-        if not self._gradient_current:
-            run_calls(backward)
         self._lr[()] = lr
-        run_calls(update)
-        finite = np.count_nonzero(self._finite) == self._finite.size
-        cand_mse = self._work.score(score) if finite else math.nan
+        plan = self._plans[self._phase][self._gradient_current]
+        # The flag, a sum of x * 0.0, is +-0.0 for finite parameters and leaves
+        # every bit of an MSE >= +0.0; else it is NaN, and the candidate rejected.
+        cand_mse = self._work.score(plan) + float(self._flag)
 
         worse_than_allowed = (
             params.adaptive and previous is not None

@@ -450,12 +450,12 @@ class TestTrainMatchesFormulas:
 def test_backward_runs_once_per_epoch_after_an_accepted_one():
     # A rejected epoch leaves the network, and so its gradient, unchanged:
     # the next epoch reuses that gradient instead of running backward again.
-    # Each phase's backward plan starts with a call that counts its runs.
+    # Each phase's plan with the backward pass starts with a call that counts its runs.
     run = Trajectory(init_network(TestTrainMatchesHandSteppedEpochs.CONFIG), XOR_BATCH,
                      params(learning_rate=3.0, max_epochs=60))
     calls = []
-    for backward, _, _ in run._plans:
-        backward.insert(0, (lambda: calls.append(run.epoch + 1), ()))
+    for with_backward, _ in run._plans:
+        with_backward.insert(0, (lambda: calls.append(run.epoch + 1), ()))
     records = list(run)
     assert not all(r.accepted for r in records)
     assert calls == [1] + [r.epoch + 1 for r in records[:-1] if r.accepted]
@@ -586,6 +586,47 @@ def test_records_hold_python_floats(rows):
     for r in trace.records:
         assert type(r.mse) is float and type(r.learning_rate) is float
     assert type(trace.final_mse) is float
+
+
+def test_records_are_tuples_in_field_order():
+    record = Trajectory(scalar_net(), scalar_batch([1.0], [1.0]), params()).step()
+    epoch, mse, learning_rate, accepted = record
+    assert record == (1, mse, 0.01, True) and (epoch, learning_rate, accepted) == (1, 0.01, True)
+
+
+def test_a_candidate_with_an_infinite_parameter_and_a_finite_mse_is_rejected():
+    # The first candidate's output bias overflows to +inf, which saturates the
+    # tansig output at 1: its MSE is a finite (1 - 0.9)**2, so only a check of
+    # the parameters themselves can reject it.
+    net = init_network(NetworkConfig(3, (LayerSpec(1, LOGSIG), LayerSpec(1, TANSIG)), seed=1))
+    batch = np.array([[0.5, -0.25, 1.0]]), np.array([[0.9]])
+    lr = 1.2e308
+    grads, _ = backprop_gradients(net, batch)
+    with np.errstate(all="ignore"):
+        cand = [(W - lr * gW, b - lr * gb)
+                for W, b, gW, gb in zip(net.weights, net.biases, grads.weights, grads.biases)]
+        a = batch[0]
+        for (W, b), spec in zip(cand, net.config.layers):
+            a = reference_act(spec.activation, a @ W.T + b)
+    assert not all(np.isfinite(W).all() and np.isfinite(b).all() for W, b in cand)
+    assert np.mean((a - batch[1]) ** 2) == pytest.approx(0.01)
+    record = Trajectory(net, batch, params(learning_rate=lr)).step()
+    assert record.accepted is False
+    assert record.mse == math.inf
+
+
+def test_the_parameter_check_moves_no_mse_bit():
+    # The check adds a sum of parameter * 0.0 terms to the candidate's MSE.
+    # Here every candidate parameter is negative, so every term is -0.0, and
+    # the candidate fits exactly: its MSE must stay +0.0, evaluate's bits.
+    net = Network(NetworkConfig(1, (LayerSpec(1, PURELIN),), seed=0),
+                  [np.array([[-0.5]])], [np.array([-0.3])])
+    batch = scalar_batch([0.0], [-0.4])
+    run = Trajectory(net, batch, params(learning_rate=0.5))
+    assert run.step().accepted
+    trained = run.network()
+    assert (trained.weights[0] < 0).all() and (trained.biases[0] < 0).all()
+    assert run.previous_mse.hex() == evaluate(trained, batch).hex() == (0.0).hex()
 
 
 class TestQuietStep:
