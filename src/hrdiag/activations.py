@@ -10,9 +10,8 @@ makes in place on buffers the caller owns: a list of ``(function,
 arguments)`` pairs that :func:`run_calls` makes in order.  The training
 kernel builds these lists once per run, on buffers it allocates once;
 logsig picks its numerator mask call by the dtype of the mask buffer
-when its calls are built.  The ``*_into`` functions,
-:meth:`Activation.apply` and :meth:`Activation.deriv_from_output` build
-the calls and make them once.
+when its calls are built.  :meth:`Activation.apply` and
+:meth:`Activation.deriv_from_output` build the calls and make them once.
 """
 
 from __future__ import annotations
@@ -111,12 +110,3 @@ class Activation(Enum):
 
 _CALLS = dict(zip(Activation, (tansig_calls, logsig_calls, purelin_calls)))
 _DERIV_CALLS = dict(zip(Activation, (tansig_deriv_calls, logsig_deriv_calls, purelin_deriv_calls)))
-
-
-def _into(calls):
-    """The function that builds ``calls`` on the buffers it is given and makes them."""
-    return lambda *buffers: run_calls(calls(*buffers))
-
-
-tansig_into, logsig_into, purelin_into = map(_into, _CALLS.values())
-tansig_deriv_into, logsig_deriv_into, purelin_deriv_into = map(_into, _DERIV_CALLS.values())

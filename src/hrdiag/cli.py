@@ -124,10 +124,11 @@ def _load_training_data(args) -> tuple[Dataset, SurrogateRule | None]:
 
 def cmd_train(args) -> int:
     _nonempty("-o", args.model_out)
+    layers = _parse_hidden(args.hidden) + (LayerSpec.parse(args.output_layer),)
+    if layers[-1].neurons != 1:  # every target the CLI loads is one column
+        raise ValueError(f"--output-layer must have 1 neuron, got {args.output_layer!r}")
     dataset, rule = _load_training_data(args)
     batch = as_training_batch(dataset.training)
-
-    layers = _parse_hidden(args.hidden) + (LayerSpec.parse(args.output_layer),)
     config = NetworkConfig(3, layers, seed=args.seed)
     params = TrainParams(**{field: getattr(args, field) for field in TrainParams.__match_args__})
     net = init_network(config)

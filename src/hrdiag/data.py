@@ -149,7 +149,7 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
         raise ValueError(f"row {row_num}, column '{column}': malformed number {raw!r}") from None
 
 
-def _open_path(path: Path, mode: str = "r", opened: Path | None = None, **kwargs):
+def _open_path(path: Path, mode: str, opened: Path | None = None, **kwargs):
     """``path.open()``, or ``opened.open()`` in its place, with every error naming
     ``path``, that of a path ``open()`` refuses (a NUL byte, a lone surrogate) too."""
     try:

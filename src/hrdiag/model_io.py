@@ -57,7 +57,6 @@ class ModelFile:
     final_train_mse: float
     surrogate_rule: SurrogateRule | None
     created_at: str
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         check_finite_number("final_train_mse", self.final_train_mse)
@@ -85,7 +84,7 @@ def _model_dict(model: ModelFile) -> dict:
     # a dataclass section's keys are its fields, in declaration order.
     net = model.network
     return {
-        "schema_version": model.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "created_at": model.created_at,
         "config": {
             "input_dim": net.config.input_dim,
@@ -174,7 +173,7 @@ def load_model(path: str | Path) -> ModelFile:
             _section("train_params", raw["train_params"], TrainParams),
             raw["final_train_mse"],
             None if rule == "external" else _section("surrogate_target_rule", rule, SurrogateRule),
-            raw["created_at"], version,
+            raw["created_at"],
         )
     except TypeError as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None

@@ -163,9 +163,10 @@ def init_network(config: NetworkConfig) -> Network:
 
 
 # Batches of at least this many rows take _Workspace's long-batch forms, which give the bits
-# of numpy's plain calls; shorter ones take the plain calls (np.dot for two or more terms,
-# logsig's sign(z) mask), cheaper per call there.  µs per call on a (rows, 3) -> 4 layer, or
-# one neuron's (rows, 1) (timeit, numpy 2.4, 1 BLAS thread); steps break even near 256 rows:
+# of numpy's plain calls; shorter ones take the plain calls (np.dot for forward products of
+# two or more terms, logsig's sign(z) mask), cheaper per call there.  A weight gradient of two
+# or more rows is np.dot at every length.  µs per call on a (rows, 3) -> 4 layer, or one
+# neuron's (rows, 1) (timeit, numpy 2.4, 1 BLAS thread); steps break even near 256 rows:
 #   rows    bias add: F / plain  bias sum: einsum / add.reduce  hand-back: broadcast / matmul
 #   52      1.38 / 1.29          1.92 / 1.81                    1.90 / 1.43
 #   256     3.66 / 3.82          3.96 / 6.36                    4.92 / 5.09
@@ -218,7 +219,7 @@ class _Workspace:
         # np.dot skips matmul's gufunc dispatch and gives its bits on a product of two or
         # more terms; on a one-term (outer) product a zero's sign or a NaN may differ.
         self.forward_products = [np.matmul if long or n < 2 else np.dot for n in config.fan_ins()]
-        self.gradient_product = np.matmul if long or rows < 2 else np.dot
+        self.gradient_product = np.matmul if rows < 2 else np.dot
         self.total = np.empty(())
         self.mse_scale = np.array(2.0 / self.residual.size)
         # numpy's error state is a context variable: passes run through

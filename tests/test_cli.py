@@ -316,6 +316,15 @@ def test_split_with_embedded_is_refused_before_training(capsys, monkeypatch):
         1, "", "error: --split applies to --data, not to --embedded\n")
 
 
+def test_a_wide_output_layer_is_refused_before_the_data_is_read(capsys, monkeypatch, tmp_path):
+    # Every target the CLI loads is one column, so only a one-neuron output layer can train.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_training_data", mock.Mock(side_effect=AssertionError("read")))
+    assert run(capsys, "train", "--embedded", "--output-layer", "2/tansig", "-o", "m.json") == (
+        1, "", "error: --output-layer must have 1 neuron, got '2/tansig'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_split_with_data_is_refused(capsys, fuzz_paths):
     # --split picks one of the bundled splits; with --data it would otherwise be ignored.
     for split in ("train", "test"):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -127,6 +128,11 @@ class TestRoundTrip:
 
 
 class TestLoadValidation:
+    def test_a_model_cannot_name_another_schema_version(self, trained_model):
+        # save_model writes the one version load_model reads; another could not be read back.
+        with pytest.raises(TypeError, match="schema_version"):
+            dataclasses.replace(trained_model, schema_version=2)
+
     def test_schema_version_checked(self, trained_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(trained_model, path)

@@ -16,7 +16,7 @@ from hrdiag import (
     init_network,
 )
 from hrdiag.activations import run_calls
-from hrdiag.network import _LONG_ROWS, _Workspace, as_batch_arrays
+from hrdiag.network import _LONG_ROWS, _Workspace, as_batch_arrays, zero_gradients
 
 from helpers import fd_gradients, gradient_check, random_batch, random_config
 
@@ -208,8 +208,9 @@ class TestComputeMse:
 
 SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.0**-1022, -1e308, 1e308)
 # _Workspace takes numpy's plain calls (np.dot for a product of two or more
-# terms) below _LONG_ROWS rows and its long-batch forms from there on: each
-# kernel-form test pins both sides.
+# terms) below _LONG_ROWS rows and its long-batch forms from there on, apart
+# from the weight gradient, np.dot from two rows on: each kernel-form test
+# pins both sides.
 EDGE_ROWS = (_LONG_ROWS - 1, _LONG_ROWS)
 
 
@@ -389,6 +390,28 @@ def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, se
                 assert got.tobytes() == want.tobytes()
             else:
                 np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [_LONG_ROWS, 4096, 20_000])
+@pytest.mark.parametrize("labels", [("4/logsig", "1/tansig"), ("2/tansig", "4/logsig", "1/purelin"),
+                                    ("1/logsig", "2/tansig")])
+def test_long_batch_weight_gradients_are_the_matmul(rows, labels):
+    # A long batch's weight gradients are np.dot products too: on whole score
+    # and backward passes, with 1-, 2- and 4-neuron layers, their bytes must be
+    # those of the same passes built with np.matmul.
+    config = NetworkConfig(3, tuple(map(LayerSpec.parse, labels)), seed=rows)
+    net, rng = init_network(config), np.random.default_rng(rows)
+    X, T = rng.uniform(-1.0, 1.0, (rows, 3)), rng.uniform(-0.9, 0.9, (rows, config.output_dim))
+    work = _Workspace(config, X)
+    assert work.gradient_product is np.dot
+    got = []
+    for product in (np.dot, np.matmul):
+        work.gradient_product = product
+        grads = zero_gradients(net)
+        work.quietly(run_calls, work.score_calls(net.weights, net.biases, T)
+                     + work.backward_calls(net.weights, grads.weights, grads.biases))
+        got.append([g.tobytes() for g in grads.weights])
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("rows,mask", [(EDGE_ROWS[0], np.float64), (EDGE_ROWS[1], np.bool_)])
