@@ -55,7 +55,14 @@ def _parse_hidden(text: str) -> tuple[LayerSpec, ...]:
     text = text.strip()
     if text.lower() in ("", "none"):
         return ()
-    return tuple(LayerSpec.parse(part) for part in text.split(","))
+    return tuple(_parse_layer("--hidden", part) for part in text.split(","))
+
+
+def _parse_layer(flag: str, text: str) -> LayerSpec:
+    try:
+        return LayerSpec.parse(text)
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -65,7 +72,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         seeds = tuple(range(int(lo), int(hi) + 1)) if dots else tuple(map(int, text.split(",")))
     except ValueError:
         seeds = ()
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise ValueError(f"--seeds range has too many seeds, got {text!r}") from None
     if not seeds:
         raise ValueError(f"--seeds must be N, N,M,... or A..B with A <= B, got {text!r}")
@@ -124,7 +131,7 @@ def _load_training_data(args) -> tuple[Dataset, SurrogateRule | None]:
 
 def cmd_train(args) -> int:
     _nonempty("-o", args.model_out)
-    layers = _parse_hidden(args.hidden) + (LayerSpec.parse(args.output_layer),)
+    layers = _parse_hidden(args.hidden) + (_parse_layer("--output-layer", args.output_layer),)
     if layers[-1].neurons != 1:  # every target the CLI loads is one column
         raise ValueError(f"--output-layer must have 1 neuron, got {args.output_layer!r}")
     dataset, rule = _load_training_data(args)

@@ -222,10 +222,10 @@ class _Workspace:
         self.gradient_product = np.matmul if rows < 2 else np.dot
         self.total = np.empty(())
         self.mse_scale = np.array(2.0 / self.residual.size)
-        # numpy's error state is a context variable: passes run through
-        # ``quietly`` in this copy, so overflow shows in outputs, not warnings.
+        # numpy's error state is a context variable: ``run`` makes calls in
+        # this copy, so overflow shows in outputs, not warnings.
         with np.errstate(all="ignore"):
-            self.quietly = contextvars.copy_context().run
+            self.run = partial(contextvars.copy_context().run, run_calls)
 
     def forward_calls(self, weights, biases) -> list:
         """The calls that fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
@@ -249,8 +249,8 @@ class _Workspace:
             (np.add.reduce, (squares.reshape(-1), None, None, self.total))]
 
     def score(self, calls) -> float:
-        """Make ``calls``, ending with a score pass's, and return its MSE, divided as np.mean does."""
-        run_calls(calls)
+        """Run ``calls``, ending with a score pass's, and return its MSE, divided as np.mean does."""
+        self.run(calls)
         return float(self.total) / self.residual.size
 
     def backward_calls(self, weights, grad_w, grad_b) -> list:
@@ -304,7 +304,7 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
     work = _Workspace(net.config, x[np.newaxis, :])
-    work.quietly(run_calls, work.forward_calls(net.weights, net.biases))
+    work.run(work.forward_calls(net.weights, net.biases))
     return work.acts[-1][0], [a[0] for a in work.acts[1:]]
 
 
@@ -333,17 +333,17 @@ def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _score_batch(net: Network, batch):
-    """Validate an (X, T) batch and score it in one forward pass, quietly as
-    in training: the workspace, whose ``acts`` and ``residual`` now hold the
+    """Validate an (X, T) batch and score it in one forward pass, warnings off
+    as in training: the workspace, whose ``acts`` and ``residual`` now hold the
     batch's activations and Y - T, and the batch MSE."""
     X, T = as_batch_arrays(batch, net)
     work = _Workspace(net.config, X)
-    return work, work.quietly(work.score, work.score_calls(net.weights, net.biases, T))
+    return work, work.score(work.score_calls(net.weights, net.biases, T))
 
 
 def backprop_gradients(net: Network, batch) -> tuple[Gradients, float]:
     """Gradients of the batch MSE for every weight and bias, plus that MSE."""
     work, mse = _score_batch(net, batch)
     grads = zero_gradients(net)
-    work.quietly(run_calls, work.backward_calls(net.weights, grads.weights, grads.biases))
+    work.run(work.backward_calls(net.weights, grads.weights, grads.biases))
     return grads, mse

@@ -33,17 +33,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import run_calls
 from .data import check_finite_number, check_integer
 from .network import (
     Gradients,
     Network,
     NetworkConfig,
-    as_batch_arrays,
+    as_batch_arrays,  # noqa: F401 - looked up here by the benchmark's tracer
     backprop_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
     zero_gradients,  # noqa: F401 - looked up here by the benchmark's tracer
     _score_batch,
-    _Workspace,
 )
 
 
@@ -133,7 +131,7 @@ class EpochStep(NamedTuple):
 def evaluate(net: Network, batch) -> float:
     """MSE of the network's outputs against the batch targets. No updates.
 
-    A saturated net is scored quietly, as in training: overflow shows up
+    A saturated net is scored as in training, warnings off: overflow shows up
     as a non-finite or saturated MSE, not as a numpy warning.
     """
     return _score_batch(net, batch)[1]
@@ -157,14 +155,6 @@ def _flat(weights, biases) -> np.ndarray:
     return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
 
 
-class _State(NamedTuple):
-    """A flat parameter vector with its per-layer views."""
-
-    flat: np.ndarray
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 class Trajectory:
     """One deterministic training run, advanced an epoch at a time.
 
@@ -176,18 +166,18 @@ class Trajectory:
 
     The batch is validated once, and every array an epoch touches is
     allocated here, once per run: O(rows x layer widths) floats in all,
-    two parameter states (flat, with per-layer views) and two velocities
-    among them.  In phase p, state p is current and velocity p live; the
-    update writes the step into velocity 1-p and the candidate into state
-    1-p, and an accepted candidate flips the phase.  Each phase's numpy
-    calls are built here too, as two plans: backward pass, update, check
-    and re-scoring of the candidate (the epoch's one forward pass), and the
-    same without the backward pass, for the epoch after a rejected one,
-    whose network, and so its gradient, is unchanged.
+    two flat parameter vectors (with per-layer views) and one velocity
+    among them.  In phase p, vector p is current; the update scales the
+    velocity and subtracts the scaled gradient from it in place, and
+    writes the candidate into vector 1-p.  An accepted candidate flips the
+    phase and keeps the velocity as its step; a rejected one zeroes it.
+    Each phase's numpy calls are built here too, as two plans: backward
+    pass, update, check and re-scoring of the candidate (the epoch's one
+    forward pass), and the same without the backward pass, for the epoch
+    after a rejected one, whose network, and so its gradient, is unchanged.
     """
 
     def __init__(self, net: Network, batch, params: TrainParams):
-        X, T = as_batch_arrays(batch, net)
         self._config = net.config
         self.params = params
         self.learning_rate = params.learning_rate
@@ -195,22 +185,25 @@ class Trajectory:
         self.epoch = 0
         self.stopping_reason = StoppingReason.EPOCH_BUDGET_EXHAUSTED
 
-        self._work = work = _Workspace(net.config, X)
+        # Checks the batch and scores the start network, whose activations
+        # the first epoch's backward pass reads.
+        self._work = work = _score_batch(net, batch)[0]
         p = _flat(net.weights, net.biases)
-        states = [_State(flat, *_layer_views(flat, net.config)) for flat in (p, np.empty_like(p))]
-        self._states, self._velocities = states, [np.zeros_like(p), np.zeros_like(p)]
+        flats = [p, np.empty_like(p)]
+        self._views = views = [_layer_views(flat, net.config) for flat in flats]
+        self._v = v = np.zeros_like(p)
         g, scaled, zeros = np.empty_like(p), np.empty_like(p), np.zeros_like(p)
         # 0-d float64 operands and output, which ufuncs take without converting.
         momentum, self._lr, self._flag = np.array(params.momentum), np.empty(()), np.empty(())
         self._plans = []  # per phase, indexed by _gradient_current: with and without backward
-        for cur, cand, v, step in zip(states, states[::-1], self._velocities, self._velocities[::-1]):
-            candidate = [(np.multiply, (v, momentum, step)), (np.multiply, (g, self._lr, scaled)),
-                         (np.subtract, (step, scaled, step)), (np.add, (cur.flat, step, cand.flat)),
+        for cur, cand, (weights, _), cand_views in zip(flats, flats[::-1], views, views[::-1]):
+            candidate = [(np.multiply, (v, momentum, v)), (np.multiply, (g, self._lr, scaled)),
+                         (np.subtract, (v, scaled, v)), (np.add, (cur, v, cand)),
                          # An infinite weight feeding a saturating unit can still give a finite
-                         # MSE, so the parameters themselves must be checked (see _step).
-                         (np.dot, (cand.flat, zeros, self._flag)),
-                         *work.score_calls(cand.weights, cand.biases, T)]
-            backward = work.backward_calls(cur.weights, *_layer_views(g, net.config))
+                         # MSE, so the parameters themselves must be checked (see step).
+                         (np.dot, (cand, zeros, self._flag)),
+                         *work.score_calls(*cand_views, batch[1])]
+            backward = work.backward_calls(weights, *_layer_views(g, net.config))
             self._plans.append((backward + candidate, candidate))
         self._phase = 0
         # Whenever this is False the workspace's stack and residual hold the
@@ -218,25 +211,17 @@ class Trajectory:
         # and so its gradient, unchanged: it sets this, and the next epoch
         # skips the backward pass.
         self._gradient_current = False
-        work.quietly(run_calls, work.score_calls(net.weights, net.biases, T))
         self._snapshot: Network | None = net
-
-    @property
-    def _v(self) -> np.ndarray:  # the live velocity
-        return self._velocities[self._phase]
 
     def step(self) -> EpochRecord:
         """Run one full-batch update attempt, ignoring goal and budget."""
-        # Divergent candidates are caught by _step's finiteness checks, so
-        # overflow warnings carry no information there.
-        return self._work.quietly(self._step)
-
-    def _step(self) -> EpochRecord:
         params, lr, previous = self.params, self.learning_rate, self.previous_mse
         self._lr[()] = lr
         plan = self._plans[self._phase][self._gradient_current]
-        # The flag, a sum of x * 0.0, is +-0.0 for finite parameters and leaves
-        # every bit of an MSE >= +0.0; else it is NaN, and the candidate rejected.
+        # score runs the plan with warnings off: the checks below catch a divergent
+        # candidate, so overflow warnings carry no information.  The flag, a sum of
+        # x * 0.0, is +-0.0 for finite parameters and leaves every bit of an
+        # MSE >= +0.0; else it is NaN, and the candidate rejected.
         cand_mse = self._work.score(plan) + float(self._flag)
 
         worse_than_allowed = (
@@ -276,9 +261,9 @@ class Trajectory:
         """The network as of the last epoch run (the start network before
         any epoch); unchanged parameters give back the same object."""
         if self._snapshot is None:
-            cur = self._states[self._phase]
-            self._snapshot = Network(self._config, [W.copy() for W in cur.weights],
-                                     [b.copy() for b in cur.biases])
+            weights, biases = self._views[self._phase]
+            self._snapshot = Network(self._config, [W.copy() for W in weights],
+                                     [b.copy() for b in biases])
         return self._snapshot
 
 

@@ -325,6 +325,18 @@ def test_a_wide_output_layer_is_refused_before_the_data_is_read(capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hidden", "4/relu", "unknown activation 'relu', expected one of: tansig, logsig, purelin"),
+    ("--hidden", "0/tansig", "neuron count must be at least 1, got 0"),
+    ("--output-layer", "0/tansig", "neuron count must be at least 1, got 0"),
+], ids=["hidden-activation", "hidden-neurons", "output-neurons"])
+def test_a_bad_layer_spec_names_its_flag(capsys, monkeypatch, tmp_path, flag, value, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "train", "--embedded", flag, value, "-o", "m.json") == (
+        1, "", f"error: {flag}: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_split_with_data_is_refused(capsys, fuzz_paths):
     # --split picks one of the bundled splits; with --data it would otherwise be ignored.
     for split in ("train", "test"):
@@ -521,11 +533,13 @@ class TestSweep:
         assert err == f"error: --seeds must be N, N,M,... or A..B with A <= B, got {spec!r}\n"
 
     def test_an_overflowing_seed_range_is_refused_in_one_line(self, capsys):
-        # More than sys.maxsize seeds: the range has no length, so nothing is allocated.
-        spec = "1..100000000000000000000"
-        code, out, err = run(capsys, "sweep", "--seeds", spec)
-        assert code == 1 and out == ""
-        assert err == f"error: --seeds range has too many seeds, got {spec!r}\n"
+        # 10**20 seeds: more than sys.maxsize, so the range has no length and
+        # nothing is allocated.  10**17 seeds fit in sys.maxsize, but their
+        # eight-byte tuple slots exceed the address space: the allocation fails at once.
+        for spec in ("1..100000000000000000000", "1..100000000000000000"):
+            code, out, err = run(capsys, "sweep", "--seeds", spec)
+            assert code == 1 and out == ""
+            assert err == f"error: --seeds range has too many seeds, got {spec!r}\n"
 
     def test_a_repeated_seed_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sweep", mock.Mock(side_effect=AssertionError("the grid ran")))

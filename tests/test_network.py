@@ -408,8 +408,8 @@ def test_long_batch_weight_gradients_are_the_matmul(rows, labels):
     for product in (np.dot, np.matmul):
         work.gradient_product = product
         grads = zero_gradients(net)
-        work.quietly(run_calls, work.score_calls(net.weights, net.biases, T)
-                     + work.backward_calls(net.weights, grads.weights, grads.biases))
+        work.run(work.score_calls(net.weights, net.biases, T)
+                 + work.backward_calls(net.weights, grads.weights, grads.biases))
         got.append([g.tobytes() for g in grads.weights])
     assert got[0] == got[1]
 

@@ -667,9 +667,17 @@ def _gradient_bytes(net, batch) -> bytes:
     return _bytes(*grads.weights, *grads.biases, mse)
 
 
+def _step_bytes(net, batch) -> bytes:
+    run = Trajectory(net, batch, TrainParams())
+    record = run.step()
+    net = run.network()
+    return _bytes(*record[1:], *net.weights, *net.biases)
+
+
 class TestQuietOneShot:
-    """forward, evaluate and backprop_gradients run their passes in the
-    workspace's quiet context, as a training step does."""
+    """forward, evaluate, backprop_gradients and a training run's start
+    score run their passes in the workspace's quiet context, as a training
+    step does."""
 
     @staticmethod
     def saturated():
@@ -687,6 +695,7 @@ class TestQuietOneShot:
         pytest.param(lambda net, batch: _bytes(*forward(net, batch[0][0])[1]), id="forward"),
         pytest.param(lambda net, batch: _bytes(evaluate(net, batch)), id="evaluate"),
         pytest.param(_gradient_bytes, id="backprop_gradients"),
+        pytest.param(_step_bytes, id="Trajectory"),
     ])
     def test_a_raising_caller_gets_the_same_bytes(self, call):
         net, batch = self.saturated()
