@@ -31,10 +31,10 @@ def run_calls(calls) -> None:
         fn(*args)
 
 
-def scratch(shape, mask=bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def scratch(shape, mask=bool, empty=np.empty) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Temporaries for an in-place transfer function on an array of
-    ``shape``: two float64 arrays and a mask of dtype ``mask``."""
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=mask)
+    ``shape``, from ``empty``: two float64 arrays and a mask of dtype ``mask``."""
+    return empty(shape), empty(shape), empty(shape, mask)
 
 
 def _maximum(x, y, out) -> None:

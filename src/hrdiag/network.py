@@ -5,12 +5,14 @@ mutates a :class:`Network` or :class:`Gradients` in place, and identical
 inputs produce bit-identical outputs.  Batch reductions use a fixed
 summation order, so results are reproducible across runs.  Underneath,
 :class:`_Workspace` builds each pass as numpy calls on buffers it
-allocates for its batch, and a training run allocates and builds them once.
+allocates for its batch, and a training run allocates and builds them once,
+in shared memory when it splits its rows between two processes.
 """
 
 from __future__ import annotations
 
 import contextvars
+import copy
 from dataclasses import dataclass
 from functools import partial
 
@@ -117,7 +119,7 @@ class Network:
                 )
             if b.shape != (spec.neurons,):
                 raise ValueError(f"layer {k}: bias shape {b.shape}, expected {(spec.neurons,)}")
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            if np.count_nonzero(np.isfinite(W)) + np.count_nonzero(np.isfinite(b)) != W.size + b.size:
                 raise ValueError(f"layer {k}: non-finite parameters")
 
 
@@ -201,18 +203,20 @@ class _Workspace:
     its numpy calls on given parameter arrays, every kernel form picked
     as they are built: a training run builds them once per run, a
     one-shot pass once per call (see :func:`~hrdiag.activations.run_calls`).
+    The buffers come from ``empty``: shared memory for a run split between
+    processes, each of which builds its calls on a :meth:`rows` view.
     """
 
-    def __init__(self, config: NetworkConfig, X: np.ndarray):
+    def __init__(self, config: NetworkConfig, X: np.ndarray, empty=np.empty):
         layers, rows = config.layers, X.shape[0]
         self.layers = layers
-        self.acts = [X] + [np.empty((rows, spec.neurons)) for spec in layers]
-        self.residual = np.empty((rows, config.output_dim))
+        self.acts = [X] + [empty((rows, spec.neurons)) for spec in layers]
+        self.residual = empty((rows, config.output_dim))
         self.long = long = rows >= _LONG_ROWS
         # A float64 mask gives logsig its sign(z) form, which has no SIMD loop on long batches.
-        self.work = [scratch((rows, spec.neurons), bool if long else float) for spec in layers]
+        self.work = [scratch((rows, spec.neurons), bool if long else float, empty) for spec in layers]
         # One-neuron views of W.T are already contiguous: they keep the view (None).
-        self.weights_t = [np.empty((fan_in, spec.neurons)) if long and spec.neurons > 1
+        self.weights_t = [empty((fan_in, spec.neurons)) if long and spec.neurons > 1
                           else None for fan_in, spec in zip(config.fan_ins(), layers)]
         # Elementwise, so "F" (rows axis innermost) changes no bit.
         self.bias_add = partial(np.add, order="F") if long else np.add
@@ -221,20 +225,33 @@ class _Workspace:
         self.forward_products = [np.matmul if long or n < 2 else np.dot for n in config.fan_ins()]
         self.gradient_product = np.matmul if rows < 2 else np.dot
         self.total = np.empty(())
+        self.sum_call = (np.add.reduce, (self.work[-1][1].reshape(-1), None, None, self.total))
         self.mse_scale = np.array(2.0 / self.residual.size)
+        self.whole = True
         # numpy's error state is a context variable: ``run`` makes calls in
         # this copy, so overflow shows in outputs, not warnings.
         with np.errstate(all="ignore"):
             self.run = partial(contextvars.copy_context().run, run_calls)
 
+    def rows(self, start: int, stop: int) -> "_Workspace":
+        """Views of rows ``start:stop`` of this workspace's buffers, with its kernel forms and
+        ``mse_scale``; their passes leave the ``W.T`` copies and the MSE's sum to it."""
+        view = copy.copy(self)
+        view.acts, view.residual = [a[start:stop] for a in self.acts], self.residual[start:stop]
+        view.work = [tuple(a[start:stop] for a in triple) for triple in self.work]
+        view.whole = False
+        return view
+
+    def transpose_calls(self, weights) -> list:
+        """The long-batch forward operands: a contiguous copy of each ``W.T`` of two or more neurons."""
+        return [(np.copyto, (W_t, W.T)) for W_t, W in zip(self.weights_t, weights) if W_t is not None]
+
     def forward_calls(self, weights, biases) -> list:
         """The calls that fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
-        calls, acts = [], self.acts
+        calls, acts = (self.transpose_calls(weights) if self.whole else []), self.acts
         for k, spec in enumerate(self.layers):
-            z, W, b, copy = acts[k + 1], weights[k].T, biases[k], self.weights_t[k]
-            if copy is not None:
-                calls.append((np.copyto, (copy, W)))
-                W = copy
+            z, b, W_t = acts[k + 1], biases[k], self.weights_t[k]
+            W = weights[k].T if W_t is None else W_t
             y, b = (z[:, 0], b[..., 0]) if spec.neurons == 1 else (z, b)  # 1 neuron: no broadcast
             calls += [(self.forward_products[k], (acts[k], W, z)), (self.bias_add, (y, b, y)),
                       *_CALLS[spec.activation](z, self.work[k])]
@@ -244,9 +261,9 @@ class _Workspace:
         """The forward pass's calls, then those that leave Y - T in ``residual``
         and its sum of squares (np.mean's sum, on a 1-D view) in ``total`` for :meth:`score`."""
         squares, residual = self.work[-1][1], self.residual
-        return self.forward_calls(weights, biases) + [
-            (np.subtract, (self.acts[-1], T, residual)), (np.square, (residual, squares)),
-            (np.add.reduce, (squares.reshape(-1), None, None, self.total))]
+        calls = self.forward_calls(weights, biases) + [
+            (np.subtract, (self.acts[-1], T, residual)), (np.square, (residual, squares))]
+        return calls + [self.sum_call] if self.whole else calls
 
     def score(self, calls) -> float:
         """Run ``calls``, ending with a score pass's, and return its MSE, divided as np.mean does."""
@@ -254,41 +271,46 @@ class _Workspace:
         return float(self.total) / self.residual.size
 
     def backward_calls(self, weights, grad_w, grad_b) -> list:
-        """The calls that write the batch-MSE gradients of every weight and
-        bias into the ``grad_w``/``grad_b`` arrays, given the activations
-        and residual of the last score pass under ``weights``.
+        """The calls that write the batch-MSE gradients of every weight and bias into
+        ``grad_w``/``grad_b``, given the last score pass under ``weights``."""
+        return self.delta_calls(weights) + self.gradient_calls(grad_w, grad_b)
 
-        Standard backpropagation: the output-layer delta is the MSE
-        derivative times the activation derivative (written in the
-        activation output), and deltas chain backwards through the weight
-        matrices.
-        """
+    def delta_calls(self, weights) -> list:
+        """Backpropagation's row-local half: the output-layer delta is the MSE derivative
+        times the activation derivative (written in the activation output), and deltas
+        chain backwards through the weight matrices into each ``work[k][0]``."""
         work, acts, layers = self.work, self.acts, self.layers
         delta, deriv, _ = work[-1]
         calls = [(np.multiply, (self.residual, self.mse_scale, delta)),
                  *_DERIV_CALLS[layers[-1].activation](acts[-1], deriv),
                  (np.multiply, (delta, deriv, delta))]
-        for k in range(len(work) - 1, -1, -1):
-            calls.append((self.gradient_product, (delta.T, acts[k], grad_w[k])))
+        for k in range(len(work) - 1, 0, -1):
+            below, deriv, _ = work[k - 1]
+            if self.long and layers[k].neurons == 1:
+                # The rank-1 product as a broadcast multiply, which is
+                # faster; adding 0.0 turns its -0.0 into matmul's +0.0.
+                calls += [(partial(np.multiply, order="F"), (delta, weights[k], below)),
+                          (np.add, (below, _ZERO, below))]
+            else:
+                calls.append((np.matmul, (delta, weights[k], below)))
+            calls += [*_DERIV_CALLS[layers[k - 1].activation](acts[k], deriv),
+                      (np.multiply, (below, deriv, below))]
+            delta = below
+        return calls
+
+    def gradient_calls(self, grad_w, grad_b) -> list:
+        """The whole-batch half: per layer a weight product and a bias sum, each independent."""
+        calls = []
+        for k in range(len(self.work) - 1, -1, -1):
+            delta = self.work[k][0]
+            calls.append((self.gradient_product, (delta.T, self.acts[k], grad_w[k])))
             # Bias gradients are delta's column sums.  einsum adds row after row,
             # as np.add.reduce (axis 0) does for two or more columns; one column,
             # reduced as 1-D into a 0-d view, add.reduce sums pairwise.
-            one = layers[k].neurons == 1
-            calls.append((np.add.reduce, (delta[:, 0], 0, None, grad_b[k][..., 0])) if one
+            calls.append((np.add.reduce, (delta[:, 0], 0, None, grad_b[k][..., 0]))
+                         if self.layers[k].neurons == 1
                          else (partial(np.einsum, "ij->j", out=grad_b[k]), (delta,)) if self.long
                          else (np.add.reduce, (delta, 0, None, grad_b[k])))
-            if k > 0:
-                below, deriv, _ = work[k - 1]
-                if self.long and one:
-                    # The rank-1 product as a broadcast multiply, which is
-                    # faster; adding 0.0 turns its -0.0 into matmul's +0.0.
-                    calls += [(partial(np.multiply, order="F"), (delta, weights[k], below)),
-                              (np.add, (below, _ZERO, below))]
-                else:
-                    calls.append((np.matmul, (delta, weights[k], below)))
-                calls += [*_DERIV_CALLS[layers[k - 1].activation](acts[k], deriv),
-                          (np.multiply, (below, deriv, below))]
-                delta = below
         return calls
 
 

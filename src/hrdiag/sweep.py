@@ -17,17 +17,17 @@ budget.  The results are bit-identical to training each row separately.
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
 import os
 import pickle
-import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .activations import Activation
 from .data import Dataset, as_training_batch, check_integer
 from .network import LayerSpec, NetworkConfig, check_layers, init_network
-from .training import StoppingReason, TrainParams, accuracy_from_mse, evaluate, train
+from .training import (StoppingReason, TrainParams, _cpu_budget, accuracy_from_mse, evaluate,
+                       fork, reap, train, usable_cpus)
 
 
 # The output layer every grid row's hidden stack feeds.
@@ -145,41 +145,38 @@ def _walk_family(layers, seeds, budgets, params, train_batch, test_batch) -> dic
 
 def _walk_seeds(walk, seeds: tuple[int, ...]) -> list:
     """``walk`` of contiguous chunks of ``seeds``, in seed order, one per usable CPU
-    (at most one per seed): the first here, each other one in a forked child that
-    pipes back one pickle and dies with this process.  If any worker fails, the walk
-    reruns serially here.  No fork off Linux (no ``os.sched_getaffinity``) or while
-    other threads run: a forked child could inherit a lock that one of them holds."""
-    n = len(seeds)
-    workers = (1 if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
-               else min(len(os.sched_getaffinity(0)), n))
+    (at most one per seed; see :func:`~hrdiag.training.usable_cpus`): the first here,
+    each other one in a forked child that pipes back one pickle.  Each walk gets an
+    equal share of the CPUs for the row workers of its runs.  If any worker fails,
+    the walk reruns serially here."""
+    n, cpus = len(seeds), usable_cpus()
+    workers = min(cpus, n)
     chunks = [seeds[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
-    parent, pipes, pids = os.getpid(), [], []  # this process; each child's read end and pid
+    budget = _cpu_budget.set(cpus // workers)
+    pipes, pids = [], []  # each child's read end and pid
     try:
         for chunk in chunks[1:]:
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
             with open(write_fd, "wb") as out:
-                if (pid := os.fork()) == 0:
-                    try:  # the child never returns into the caller
-                        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
-                        if os.getppid() == parent:  # else the parent ended before prctl
-                            pickle.dump(walk(chunk), out, pickle.HIGHEST_PROTOCOL)
-                            out.close()
-                    finally:
-                        os._exit(0)
-            pids.append(pid)
+                pids.append(fork(partial(_send, walk, chunk, out)))
         # A child that failed sent no complete pickle, and loads raises for it.
         return [walk(chunks[0])] + [pickle.loads(pipe.read()) for pipe in pipes]
     except Exception:
         if workers == 1:
             raise
     finally:
+        _cpu_budget.reset(budget)
         for pipe in pipes:
             pipe.close()
-        for pid in pids:  # a child whose pipe was read to its end has completed
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
+        reap(pids)  # a child whose pipe was read to its end has completed
     return [walk(seeds)]  # a worker failed: this completes, or raises the serial exception
+
+
+def _send(walk, chunk, out) -> None:
+    """A sweep child's work: ``walk(chunk)``, pickled into ``out``."""
+    with out:
+        pickle.dump(walk(chunk), out, pickle.HIGHEST_PROTOCOL)
 
 
 def run_sweep(config: SweepConfig, data: Dataset, params_base: TrainParams) -> list[SweepRow]:

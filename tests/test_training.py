@@ -1,8 +1,13 @@
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrdiag import (
     Activation,
@@ -25,7 +30,8 @@ from hrdiag import (
     train_epoch,
     zero_gradients,
 )
-from hrdiag import network
+from hrdiag import network, training
+from hrdiag import sweep as sweep_mod
 
 TANSIG = Activation.TANSIG
 LOGSIG = Activation.LOGSIG
@@ -464,15 +470,15 @@ def test_backward_runs_once_per_epoch_after_an_accepted_one():
 def test_plans_are_built_with_the_run_never_per_epoch(monkeypatch):
     # Every numpy call of an epoch is bound when the run starts: a step,
     # accepted or rejected, runs the plans and builds none.
-    builds = []
-    for name in ("forward_calls", "score_calls", "backward_calls"):
+    builds, names = [], {"forward_calls", "score_calls", "delta_calls", "gradient_calls"}
+    for name in names:
         def counted(self, *args, _build=getattr(network._Workspace, name), _name=name):
             builds.append(_name)
             return _build(self, *args)
         monkeypatch.setattr(network._Workspace, name, counted)
     run = Trajectory(init_network(TestTrainMatchesHandSteppedEpochs.CONFIG), XOR_BATCH,
                      params(learning_rate=3.0, max_epochs=50))
-    assert set(builds) == {"forward_calls", "score_calls", "backward_calls"}
+    assert set(builds) == names
     built = len(builds)
     records = [run.step() for _ in range(50)]
     assert {r.accepted for r in records} == {True, False}
@@ -778,3 +784,185 @@ class TestTrainParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TrainParams(**kwargs)
+
+
+# A split run forks one worker for half its row work: x86-64 Linux only.
+SPLITS = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or os.uname().machine != "x86_64",
+                            reason="runs split on x86-64 Linux alone")
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make a run see ``cpus`` as this process's CPU set, as tests/test_sweep.py does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_inputs(rows, layers=(LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), seed=5):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(rows, 3))
+    T = rng.choice([-0.9, 0.9], size=(rows, 1))
+    return init_network(NetworkConfig(3, layers, seed=seed)), (X, T)
+
+
+def outcome(run):
+    """Every record, the stopping reason and the parameter bytes of a whole run."""
+    try:
+        records = tuple(run)
+    finally:
+        run.close()
+    net = run.network()
+    return records, run.stopping_reason, [a.tobytes() for a in net.weights + net.biases]
+
+
+SMALL_SPLITS = {"_SPLIT_ROWS": 2 * network._LONG_ROWS, "_SPLIT_EPOCHS": 1}
+
+
+@SPLITS
+@settings(max_examples=30, deadline=None)
+@given(
+    hidden=st.lists(st.tuples(st.integers(1, 4), st.sampled_from(Activation)), min_size=1, max_size=3),
+    output=st.sampled_from(Activation),
+    rows=st.sampled_from([512, 700, 768, 1000, 1024, 1301]),
+    adaptive=st.booleans(),
+    lr=st.sampled_from([0.05, 0.5, 1e4]),
+    seed=st.integers(0, 50),
+)
+def test_a_split_run_gives_the_serial_runs_bytes(hidden, output, rows, adaptive, lr, seed):
+    # Below _SPLIT_ROWS on purpose: the split's boundary, a multiple of
+    # _LONG_ROWS, then lands both on and off the batch's half.
+    layers = tuple(LayerSpec(n, kind) for n, kind in hidden) + (LayerSpec(1, output),)
+    net, batch = split_inputs(rows, layers, seed)
+    p = params(learning_rate=lr, adaptive=adaptive, max_epochs=25, error_goal=1e-9)
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in SMALL_SPLITS.items():
+            patch.setattr(training, name, value)
+        for cpus in ({0}, {0, 1}):
+            usable_cpus(patch, cpus)
+            run = Trajectory(net, batch, p)
+            assert (run._worker is not None) == (len(cpus) == 2)
+            results.append(outcome(run))
+    assert results[0] == results[1]
+    no_child_left()
+
+
+@SPLITS
+def test_the_default_split_matches_serial_on_a_long_batch(monkeypatch):
+    net, batch = large_run_inputs()
+    results = []
+    for cpus in ({0}, {0, 1}):
+        usable_cpus(monkeypatch, cpus)
+        run = Trajectory(net, batch, params(max_epochs=training._SPLIT_EPOCHS))
+        assert (run._worker is not None) == (len(cpus) == 2)
+        results.append(outcome(run))
+    assert run._worker.state[1] > 0  # the worker made its shares of some stages
+    assert results[0] == results[1]
+
+
+class TestRowWorker:
+    @pytest.fixture(autouse=True)
+    def small_splits(self, monkeypatch):
+        for name, value in SMALL_SPLITS.items():
+            monkeypatch.setattr(training, name, value)
+        usable_cpus(monkeypatch, {0, 1})
+
+    @SPLITS
+    def test_no_worker_outlives_train(self):
+        net, batch = split_inputs(1000)
+        forks = []
+        real_start = training._Worker.start
+
+        def start(worker):
+            real_start(worker)
+            forks.append(worker.pid)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training._Worker, "start", start)
+            train(net, batch, params(max_epochs=20))
+            no_child_left()
+
+            def failing(record, run):
+                if record.epoch == 3:
+                    raise RuntimeError("synthetic failure")
+
+            with pytest.raises(RuntimeError):
+                train(net, batch, params(max_epochs=20), on_epoch=failing)
+            no_child_left()
+        assert len(forks) == 2
+
+    @SPLITS
+    def test_a_killed_worker_gives_the_same_bytes_without_a_hang(self, monkeypatch):
+        net, batch = split_inputs(1000, seed=9)
+        p = params(learning_rate=0.5, max_epochs=40, error_goal=1e-9)
+        usable_cpus(monkeypatch, {0})
+        serial = outcome(Trajectory(net, batch, p))
+        usable_cpus(monkeypatch, {0, 1})
+        run = Trajectory(net, batch, p)
+        records = []
+        start = time.monotonic()
+        try:
+            for record in run:
+                records.append(record)
+                if record.epoch == 5:
+                    os.kill(run._worker.pid, signal.SIGKILL)
+            assert run._worker.pid == 0  # reaped, its shares made here since
+        finally:
+            run.close()
+        assert time.monotonic() - start < 30
+        trained = run.network()
+        assert (tuple(records), run.stopping_reason,
+                [a.tobytes() for a in trained.weights + trained.biases]) == serial
+        no_child_left()
+
+    def test_one_epoch_and_one_shot_passes_fork_nothing(self, monkeypatch):
+        def no_fork(child):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(training, "fork", no_fork)
+        monkeypatch.setattr(training, "_SPLIT_EPOCHS", 50)
+        net, batch = split_inputs(1000)
+        train_epoch(net, zero_gradients(net), batch, params(max_epochs=1000), 0.01, None)
+        evaluate(net, batch)
+        backprop_gradients(net, batch)
+        forward(net, batch[0][0])
+        assert Trajectory(net, batch, params(max_epochs=49))._worker is None
+
+    def test_one_usable_cpu_gives_no_worker(self, monkeypatch):
+        usable_cpus(monkeypatch, {3})
+        assert Trajectory(*split_inputs(1000), params(max_epochs=50))._worker is None
+
+    @SPLITS
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2)])
+    def test_a_long_batch_sweep_never_runs_more_processes_than_cpus(self, seeds):
+        # Each seed walk's runs on 2 CPUs: 2 processes for one seed, one each for two.
+        def walk(chunk):
+            runs = [Trajectory(*split_inputs(1000, seed=seed), params(max_epochs=5)) for seed in chunk]
+            for run in runs:
+                run.close()
+            return [(os.getpid(), run._worker is not None) for run in runs]
+
+        walks = sweep_mod._walk_seeds(walk, seeds)
+        assert len({pid for chunk in walks for pid, _ in chunk}) == len(seeds)
+        assert [split for chunk in walks for _, split in chunk] == [len(seeds) == 1] * len(seeds)
+        no_child_left()
+
+
+@pytest.mark.parametrize("layers, calls", [
+    ((LayerSpec(4, LOGSIG), LayerSpec(1, TANSIG)), (32, 20)),
+    ((LayerSpec(1, TANSIG),), (17, 11)),
+    ((LayerSpec(3, LOGSIG), LayerSpec(2, TANSIG), LayerSpec(1, PURELIN)), (39, 22)),
+])
+def test_a_short_batch_step_makes_one_flat_plan(layers, calls):
+    # The 52 bundled rows: each phase's plans hold numpy calls alone, as many
+    # as before the split's stages, and no hand-off between processes.
+    run = Trajectory(init_network(NetworkConfig(3, layers)),
+                     as_training_batch(prepared_embedded().training), params())
+    assert run._worker is None
+    for plans in run._plans:
+        assert tuple(map(len, plans)) == calls
+        assert not any(isinstance(getattr(fn, "__self__", None), training._Worker)
+                       for plan in plans for fn, _ in plan)
