@@ -13,6 +13,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import (
     RAW_MAX, RAW_MIN, FAILURE_TARGET, SUCCESS_TARGET, NormalizationMap, check_finite_number,
-    _open_path, _replacing, first_out_of_range,
+    _open_path, _replacing,
 )
 from .network import LayerSpec, Network, NetworkConfig, forward
 from .activations import Activation
@@ -115,11 +116,20 @@ def _real_array(name: str, value) -> np.ndarray:
     """A weight matrix or bias vector from its JSON lists, as floats.  Each
     cell must be a float or an int that a float holds exactly (|n| <= 2**53),
     not a bool, and rows may not be ragged."""
-    cells = np.asarray(value, dtype=object)
-    if cells.ndim > 2 or not all(type(c) is float or type(c) is int and abs(c) <= 2**53
-                                 for c in cells.flat):
-        raise ValueError(f"{name} must be a rectangular array of floats or integers within 2**53")
-    return cells.astype(float)
+    message = f"{name} must be a rectangular array of floats or integers within 2**53"
+    try:  # ragged rows, and cells no float holds (objects, lists among numbers, 10**400)
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    # Bools, strings, None and ints past 2**53 convert too, so each cell's type is
+    # checked, all floats (the usual file) first.
+    cells = value if array.ndim == 1 else [value]  # a scalar is one cell
+    if array.ndim > 1:  # the rows' cells; a deeper list is a cell
+        cells = [*chain.from_iterable(value)]
+    if not all(map(float.__instancecheck__, cells)) and not all(
+            type(c) is float or type(c) is int and abs(c) <= 2**53 for c in cells):
+        raise ValueError(message)
+    return array
 
 
 def _object(name: str, value, keys) -> dict:
@@ -206,9 +216,9 @@ def diagnose(model: ModelFile, raw_inputs) -> Diagnosis:
     if model.normalization is not None:
         # A stored normalization implies survey-domain inputs, so enforce
         # the declared raw range before scaling.
-        bad = first_out_of_range(values, RAW_MIN, RAW_MAX)
+        bad = next((v for v in values.tolist() if not RAW_MIN <= v <= RAW_MAX), None)  # or NaN
         if bad is not None:
-            raise ValueError(f"input value {values[bad]:g} outside [{RAW_MIN:g}, {RAW_MAX:g}]")
+            raise ValueError(f"input value {bad:g} outside [{RAW_MIN:g}, {RAW_MAX:g}]")
         values = model.normalization.apply(values)
     output, _ = forward(model.network, values)
     raw = float(output[0])

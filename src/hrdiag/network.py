@@ -186,6 +186,18 @@ def init_network(config: NetworkConfig) -> Network:
 _LONG_ROWS = 256
 
 
+def _layer_calls(spec: LayerSpec, long: bool, a, W, b, z, work) -> list:
+    """One layer's forward calls on a batch ``a``, in its long-batch forms or not: ``z`` =
+    ``a`` times ``W`` plus ``b``, then the transfer function in place, on the scratch ``work``."""
+    # np.dot skips matmul's gufunc dispatch and gives its bits on a product of two or
+    # more terms; on a one-term (outer) product a zero's sign or a NaN may differ.
+    product = np.matmul if long or a.shape[1] < 2 else np.dot
+    # Elementwise, so "F" (rows axis innermost) changes no bit.
+    bias_add = partial(np.add, order="F") if long else np.add
+    y, b = (z[:, 0], b[..., 0]) if spec.neurons == 1 else (z, b)  # 1 neuron: no broadcast
+    return [(product, (a, W, z)), (bias_add, (y, b, y)), *_CALLS[spec.activation](z, work)]
+
+
 class _Workspace:
     """The buffers of one network configuration on the batch inputs ``X``,
     allocated here, and the numpy calls of its passes on them.
@@ -218,11 +230,6 @@ class _Workspace:
         # One-neuron views of W.T are already contiguous: they keep the view (None).
         self.weights_t = [empty((fan_in, spec.neurons)) if long and spec.neurons > 1
                           else None for fan_in, spec in zip(config.fan_ins(), layers)]
-        # Elementwise, so "F" (rows axis innermost) changes no bit.
-        self.bias_add = partial(np.add, order="F") if long else np.add
-        # np.dot skips matmul's gufunc dispatch and gives its bits on a product of two or
-        # more terms; on a one-term (outer) product a zero's sign or a NaN may differ.
-        self.forward_products = [np.matmul if long or n < 2 else np.dot for n in config.fan_ins()]
         self.gradient_product = np.matmul if rows < 2 else np.dot
         self.total = np.empty(())
         self.sum_call = (np.add.reduce, (self.work[-1][1].reshape(-1), None, None, self.total))
@@ -249,12 +256,9 @@ class _Workspace:
     def forward_calls(self, weights, biases) -> list:
         """The calls that fill ``acts[1:]`` with the layer activations of ``acts[0]``."""
         calls, acts = (self.transpose_calls(weights) if self.whole else []), self.acts
-        for k, spec in enumerate(self.layers):
-            z, b, W_t = acts[k + 1], biases[k], self.weights_t[k]
-            W = weights[k].T if W_t is None else W_t
-            y, b = (z[:, 0], b[..., 0]) if spec.neurons == 1 else (z, b)  # 1 neuron: no broadcast
-            calls += [(self.forward_products[k], (acts[k], W, z)), (self.bias_add, (y, b, y)),
-                      *_CALLS[spec.activation](z, self.work[k])]
+        for k, (spec, W_t) in enumerate(zip(self.layers, self.weights_t)):
+            calls += _layer_calls(spec, self.long, acts[k], weights[k].T if W_t is None else W_t,
+                                  biases[k], acts[k + 1], self.work[k])
         return calls
 
     def score_calls(self, weights, biases, T) -> list:
@@ -318,16 +322,22 @@ def forward(net: Network, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate the network on one input vector.
 
     Returns the output vector and the per-layer activation vectors (the
-    last of which is the output itself).
+    last of which is the output itself), made by a one-row :class:`_Workspace`'s
+    calls, warnings off, on buffers of their own.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (net.config.input_dim,):
         raise ValueError(f"input has length {x.size}, expected {net.config.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
-    work = _Workspace(net.config, x[np.newaxis, :])
-    work.run(work.forward_calls(net.weights, net.biases))
-    return work.acts[-1][0], [a[0] for a in work.acts[1:]]
+    a, acts = x[np.newaxis, :], []
+    with np.errstate(all="ignore"):
+        for spec, W, b in zip(net.config.layers, net.weights, net.biases):
+            z = np.empty((1, spec.neurons))
+            run_calls(_layer_calls(spec, False, a, W.T, b, z, scratch(z.shape, float)))
+            acts.append(z[0])
+            a = z
+    return acts[-1], acts
 
 
 def as_batch_arrays(batch, net: Network) -> tuple[np.ndarray, np.ndarray]:

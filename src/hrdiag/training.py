@@ -39,7 +39,6 @@ import time
 import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from itertools import count
 from typing import NamedTuple
 
@@ -185,11 +184,18 @@ def usable_cpus() -> int:
 
 def fork(child) -> int:
     """The pid of a forked process that runs ``child()`` and exits, and that the
-    kernel kills when this process ends (``PR_SET_PDEATHSIG``), even by SIGKILL."""
+    kernel kills when this process ends (``PR_SET_PDEATHSIG``), even by SIGKILL.
+    It runs on the usable CPUs but this process's current one: a scheduler may
+    keep a fresh child on its parent's."""
     parent = os.getpid()
+    with open("/proc/self/stat") as stat:
+        here = int(stat.read().rsplit(")", 1)[1].split()[36])
+    cpus = os.sched_getaffinity(0) - {here}
     if (pid := os.fork()) == 0:
         try:
             ctypes.CDLL(None).prctl(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
+            with contextlib.suppress(OSError):  # an empty or unknown set keeps the CPUs
+                os.sched_setaffinity(0, cpus)
             if os.getppid() == parent:  # else the parent ended before prctl
                 child()
         finally:
@@ -233,10 +239,7 @@ class _Worker:
         return [(self.post, (len(self.stages) - 1,)), *shares[0], (self.join, (len(self.stages) - 1,))]
 
     def start(self) -> None:
-        # Off this process's current CPU: a scheduler may keep a fresh child on its parent's.
-        with open("/proc/self/stat") as stat:
-            here = int(stat.read().rsplit(")", 1)[1].split()[36])
-        self.pid = fork(partial(self._serve, os.sched_getaffinity(0) - {here}))
+        self.pid = fork(self._serve)
 
     def post(self, stage: int) -> None:
         self.state[2] = stage
@@ -254,9 +257,7 @@ class _Worker:
         if not self.pid:
             run_calls(self.stages[stage])
 
-    def _serve(self, cpus) -> None:
-        with contextlib.suppress(OSError):  # an empty or unknown set keeps the CPUs
-            os.sched_setaffinity(0, cpus)
+    def _serve(self) -> None:
         state = self.state
         for posted in count(1):
             idle = time.perf_counter() + _IDLE

@@ -12,6 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hrdiag import ALL_FACTORS, Activation, NetworkConfig, TrainParams, init_network, load_model
 from hrdiag import cli
 from hrdiag import sweep as sweep_mod
+from hrdiag import training
 from hrdiag.cli import COMMANDS, build_parser, main
 from hrdiag.data import SURROGATE_THRESHOLD
 from hrdiag.network import LayerSpec, _Workspace
@@ -741,3 +743,25 @@ class TestModuleEntryPoint:
         proc = run_module()
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr.startswith(TOP_USAGE + "\n")
+
+    def test_train_gives_one_model_at_any_blas_thread_count(self, tmp_path):
+        # Above ~110,000 rows OpenBLAS threads split the output layer's weight gradient,
+        # a (1, rows) by (rows, 4) product, and its sum's bits follow their count; the
+        # CLI runs one.  The run is long enough for the row worker to fork.
+        if not cli._one_blas_thread():
+            pytest.skip("numpy bundles no scipy-openblas whose thread count the CLI can set")
+        rng = np.random.default_rng(7)
+        data = tmp_path / "big.csv"
+        np.savetxt(data, rng.uniform(-1.0, 5.0, (120_000, 3)), fmt="%.3f", delimiter=",",
+                   header="strategic,tactical,operational", comments="")
+        models = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"m{threads}.json"
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hrdiag.cli", "train", "--data", str(data), "--epochs",
+                 str(training._SPLIT_EPOCHS), "--goal", "1e-9", "--quiet", "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0 and proc.stdout == proc.stderr == "", proc.stderr
+            models.append([line for line in out.read_text().splitlines() if '"created_at"' not in line])
+        assert models[0] == models[1] == models[2]

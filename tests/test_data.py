@@ -588,6 +588,10 @@ class TestQuestionnaireCsv:
                        f"missing factor(s): {ALL_FACTORS[6]}"),
         "out-of-range score": ("\n".join(VALID[:-1] + [f"{ALL_FACTORS[-1]},5.5"]).encode(),
                                f"factor {ALL_FACTORS[-1]}: score 5.5 outside [-1, 5]"),
+        "NaN score": ("\n".join(VALID[:4] + [f"{ALL_FACTORS[3]},nan"] + VALID[5:]).encode(),
+                      f"factor {ALL_FACTORS[3]}: score nan outside [-1, 5]"),
+        "unknown and missing id": ("\n".join(VALID[:7] + VALID[8:] + ["vision,3"]).encode(),
+                                   "unknown factor id(s): vision"),
         "non-UTF-8 byte": ("\r\n".join(VALID[:12]).encode() + b"\r\n\xe9,3\r\n",
                            "{path}: line 13: not UTF-8 (invalid continuation byte)"),
         "cell over the field limit": (b"factor_id,score\nleadership," + HUGE_CELL + b"\n",

@@ -241,6 +241,29 @@ class TestLoadValidation:
         path.write_text(json.dumps(raw))
         assert load_model(path).network.weights[1][0, 0] == 2.0**53
 
+    @pytest.mark.parametrize("cell", [3, -2**53], ids=["small", "lowest"])
+    def test_an_integer_weight_loads_as_its_float_beside_the_saved_ones(self, trained_model,
+                                                                         tmp_path, cell):
+        # One int among the floats fails the all-floats scan and takes the per-cell check.
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        raw = json.loads(path.read_text())
+        raw["weights"][0][2][1] = cell
+        path.write_text(json.dumps(raw))
+        want = trained_model.network.weights[0].copy()
+        want[2, 1] = cell
+        assert load_model(path).network.weights[0].tobytes() == want.tobytes()
+
+    def test_a_bool_weight_is_refused_with_its_one_line(self, trained_model, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        raw = json.loads(path.read_text())
+        raw["weights"][0][2][1] = True
+        path.write_text(json.dumps(raw))
+        assert main(["predict", str(path), "3,3,3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: weights[0] must be a rectangular array of floats or integers within 2**53\n")
+
     def test_deep_nesting_fails_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text("[" * 100_000)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,38 @@ def test_forward_is_the_matmul_of_the_transposed_weights(rows, widths, kinds, se
                 assert got.tobytes() == want.tobytes()
             else:
                 np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    kinds=st.lists(st.sampled_from(list(Activation)), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 1023),
+)
+# A fan_in of 1 (np.matmul's one-term product), then np.dot with a one-neuron layer.
+@example(widths=[1, 2, 1], kinds=[LOGSIG, PURELIN, TANSIG], seed=0, spread=1023)
+@example(widths=[4, 3, 1, 4], kinds=[TANSIG, LOGSIG, LOGSIG], seed=1, spread=1023)
+def test_forward_gives_a_one_row_workspaces_bytes(widths, kinds, seed, spread):
+    # forward builds no _Workspace, but makes a one-row workspace's calls on the same
+    # operand forms: the output and every layer's activation must be its bytes, with
+    # finite inputs and weights large enough to overflow, and no warning.
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(-spread, spread + 1, shape))
+
+    config = NetworkConfig(widths[0], tuple(map(LayerSpec, widths[1:], kinds)))
+    net = Network(config, [draw((n, fan_in)) for fan_in, n in zip(widths, widths[1:])],
+                  [draw(n) for n in widths[1:]])
+    x = draw(widths[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, acts = forward(net, x)
+    work = _Workspace(config, x[np.newaxis, :])
+    work.run(work.forward_calls(net.weights, net.biases))
+    assert [(a.shape, a.tobytes()) for a in [out, *acts]] == [
+        (a[0].shape, a[0].tobytes()) for a in [work.acts[-1], *work.acts[1:]]]
 
 
 @pytest.mark.parametrize("rows", [_LONG_ROWS, 4096, 20_000])

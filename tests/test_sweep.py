@@ -222,6 +222,13 @@ class TestRunSweep:
         run_sweep(canonical_grid(seeds=(1, 2)), dataset, TrainParams())
         assert calls == [(hidden, 1) for hidden in CANONICAL_FAMILIES]
 
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs 2 usable CPUs")
+    def test_the_child_walks_off_the_parents_cpu(self):
+        # A fresh child may share its parent's CPU while the other idles: it is placed off it.
+        walks = sweep_mod._walk_seeds(lambda chunk: os.sched_getaffinity(0), (1, 2))
+        assert walks[1] < walks[0] == os.sched_getaffinity(0)
+
     @pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
     def test_one_worker_and_three_give_the_same_csv_bytes(self, dataset, monkeypatch, raw):
         data = raw_embedded_dataset() if raw else dataset
