@@ -9,13 +9,15 @@ bundled survey data.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import io
+import os
 import sys
 from contextlib import nullcontext, redirect_stdout
 from pathlib import Path
 
+if __name__ == "__main__":  # python -m hrdiag.cli: as in __main__.py, before numpy loads
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
 
 from .data import (
@@ -373,22 +375,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _one_blas_thread() -> bool:
-    """Run numpy's bundled OpenBLAS on one thread, and say whether it was found: numpy 2's
-    wheels bundle it as scipy-openblas.  Above ~110,000 rows its threads split a one-column
-    weight gradient's sum, whose bits then follow the thread count."""
-    libs = [*(Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*")]
-    for lib in libs:
-        set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-    return bool(libs)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    _one_blas_thread()
     # No command, an unknown one, -h or --: the top-level parser prints help
     # or exits 2, so only a named command gets past parse_args.
     command = argv[0] if argv and argv[0] in COMMANDS else None

@@ -746,20 +746,19 @@ class TestModuleEntryPoint:
 
     def test_train_gives_one_model_at_any_blas_thread_count(self, tmp_path):
         # Above ~110,000 rows OpenBLAS threads split the output layer's weight gradient,
-        # a (1, rows) by (rows, 4) product, and its sum's bits follow their count; the
-        # CLI runs one.  The run is long enough for the row worker to fork.
-        if not cli._one_blas_thread():
-            pytest.skip("numpy bundles no scipy-openblas whose thread count the CLI can set")
+        # a (1, rows) by (rows, 4) product, and its sum's bits follow their count; both
+        # module entries set one before numpy loads, each pinned here above one thread.
+        # The run is long enough for the row worker to fork.
         rng = np.random.default_rng(7)
         data = tmp_path / "big.csv"
         np.savetxt(data, rng.uniform(-1.0, 5.0, (120_000, 3)), fmt="%.3f", delimiter=",",
                    header="strategic,tactical,operational", comments="")
         models = []
-        for threads in ("1", "2", "4"):
+        for threads, entry in (("1", "hrdiag.cli"), ("2", "hrdiag"), ("4", "hrdiag.cli")):
             out = tmp_path / f"m{threads}.json"
             env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
-                [sys.executable, "-m", "hrdiag.cli", "train", "--data", str(data), "--epochs",
+                [sys.executable, "-m", entry, "train", "--data", str(data), "--epochs",
                  str(training._SPLIT_EPOCHS), "--goal", "1e-9", "--quiet", "-o", str(out)],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0 and proc.stdout == proc.stderr == "", proc.stderr

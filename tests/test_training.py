@@ -1,8 +1,11 @@
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -861,6 +864,54 @@ def test_the_default_split_matches_serial_on_a_long_batch(monkeypatch):
         results.append(outcome(run))
     assert run._worker.state[1] > 0  # the worker made its shares of some stages
     assert results[0] == results[1]
+
+
+# Trains a split run, then a serial one while a live thread makes usable_cpus() 1, and
+# prints whether a worker made shares of the first and none of the second, and whether
+# their bytes match.
+SPLIT_AND_SERIAL = """
+import threading
+import numpy as np
+from hrdiag import LayerSpec, NetworkConfig, TrainParams, Trajectory, init_network, training
+rng = np.random.default_rng(11)
+batch = rng.uniform(-1.0, 1.0, (120_000, 3)), rng.choice([-0.9, 0.9], (120_000, 1))
+layers = LayerSpec.parse("4/logsig"), LayerSpec.parse("1/tansig")
+net = init_network(NetworkConfig(3, layers, seed=5))
+def outcome():
+    run = Trajectory(net, batch, TrainParams(max_epochs=training._SPLIT_EPOCHS, error_goal=1e-9))
+    try:
+        records, shares = tuple(run), int(run._worker.state[1]) if run._worker else 0
+    finally:
+        run.close()
+    final = run.network()
+    return shares, records, run.stopping_reason, [a.tobytes() for a in final.weights + final.biases]
+split = outcome()
+hold = threading.Event()
+thread = threading.Thread(target=hold.wait)
+thread.start()
+try:
+    serial = outcome()
+finally:
+    hold.set()
+    thread.join()
+print(split[0] > 0, serial[0] == 0, split[1:] == serial[1:])
+"""
+
+
+@SPLITS
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="one usable CPU")
+def test_a_split_run_gives_the_serial_runs_bytes_under_two_blas_threads():
+    # A library caller keeps its own BLAS thread count.  Above ~110,000 rows two threads
+    # split the output layer's weight gradient, whose bits then differ from one thread's,
+    # but the split run's must still be the serial run's.  taskset would not force the
+    # serial run: on one CPU OpenBLAS drops to one thread as well.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", SPLIT_AND_SERIAL], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "True True True\n"
 
 
 class TestRowWorker:
